@@ -209,72 +209,113 @@ def _admissibility_scale(phi: LevelFunction) -> float:
     return max(1.0, float(np.max(np.abs(phi.coeffs), initial=0.0)))
 
 
+def _conductor_rows(p: int, m: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """H applied to every row of a (k, p^(m+n)) stack of level-(m, n) coefficients.
+
+    The single implementation of the conductor operator: a log|t| multiplier
+    plus F(log|xi| F^{-1}(.)) by one FFT and one inverse FFT along the rows.
+    Each row must pass the admissibility checks of conductor_apply; the
+    first failure raises for the whole stack.
+    """
+    rows = np.asarray(rows)
+    logp = math.log(p)
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1, initial=0.0))
+    if np.any(np.abs(rows[:, 0]) > 1e-12 * scale):
+        raise AdmissibilityError("conductor_apply: phi must vanish on the coset of 0")
+    if np.any(np.abs(rows.sum(axis=1) * p ** (-n)) > 1e-12 * scale):
+        raise AdmissibilityError("conductor_apply: phi must have total integral 0")
+
+    d = p ** (-n) * np.fft.fft(rows, axis=1)  # F^{-1}: level (n, m)
+    if np.any(np.abs(d[:, 0]) > 1e-10 * scale):
+        raise AdmissibilityError("conductor_apply: Fourier side does not vanish near 0")
+    vp = _vp_table(p, rows.shape[1])  # the same table at levels (m, n) and (n, m)
+    multd = (n - vp).astype(float) * logp
+    multd[0] = 0.0
+    d *= multd
+    out = np.fft.ifft(d, axis=1)  # F: back to level (m, n), up to p^n
+    del d  # hold one complex (k, size) array, not two, for the rest
+    out *= p ** n
+    mult = (m - vp).astype(float) * logp
+    mult[0] = 0.0
+    out += mult * rows
+    return out
+
+
 def conductor_apply(phi: LevelFunction) -> LevelFunction:
     """H(phi) = log|t| phi + F(log|xi| F^{-1}(phi)); exact at the same level.
 
     Requires phi to vanish on the coset of 0 and to have total integral 0,
     which makes both log multipliers act on finitely supported data.
     """
-    scale = _admissibility_scale(phi)
-    if abs(phi.coeffs[0]) > 1e-12 * scale:
-        raise AdmissibilityError("conductor_apply: phi must vanish on the coset of 0")
-    if abs(phi.integral()) > 1e-12 * scale:
-        raise AdmissibilityError("conductor_apply: phi must have total integral 0")
-    p, m, n = phi.p, phi.m, phi.n
-    logp = math.log(p)
-    vp = phi.vp
-    mult = (m - vp).astype(float) * logp
-    A = mult * phi.coeffs
-    A[0] = 0.0
-
-    d = fourier_inverse_level(phi)  # level (n, m)
-    if abs(d.coeffs[0]) > 1e-10 * scale:
-        raise AdmissibilityError("conductor_apply: Fourier side does not vanish near 0")
-    vpd = d.vp
-    multd = (n - vpd).astype(float) * logp
-    e = multd * d.coeffs
-    e[0] = 0.0
-    B = fourier_level(LevelFunction(p, n, m, e))  # back to level (m, n)
-    return LevelFunction(p, m, n, A + B.coeffs)
+    out = _conductor_rows(phi.p, phi.m, phi.n, phi.coeffs[None, :])
+    return LevelFunction(phi.p, phi.m, phi.n, out[0])
 
 
-def cusp_space_basis(p: int, n: int) -> list[LevelFunction]:
-    """Orthonormal basis of V(p, n): level (0, n), supported in Z_p minus
-    p^n Z_p, zero average on each shell.  Dimension p^n - 1 - n."""
+def _check_cusp_level(p: int, n: int) -> None:
     if not is_prime(p):
         raise DomainError(f"not a prime: {p}")
     if n < 1:
         raise DomainError("cusp space needs level n >= 1")
     if p ** n > LEVEL_SIZE_MAX:
         raise DomainError(f"p^n = {p ** n} exceeds the desk-scale cap {LEVEL_SIZE_MAX}")
+
+
+def _cusp_basis_rows(p: int, n: int) -> np.ndarray:
+    """Orthonormal basis of V(p, n) as the rows of a real (dim, p^n) array.
+
+    Helmert vectors shell by shell: on the shell |t| = p^-v with cosets
+    j_0 < ... < j_{r-1}, row k (1 <= k < r) is c_k on j_0..j_{k-1} and
+    -k c_k on j_k, with c_k = p^(n/2) / sqrt(k (k+1)).
+    """
+    _check_cusp_level(p, n)
     size = p ** n
-    vp = _vp_table(p, size)
+    vp = _vp_table(p, size)  # vp[0] = n, so no shell below holds the 0-coset
     norm = p ** (n / 2.0)  # makes the weighted L2 norm of each vector 1
-    basis: list[LevelFunction] = []
+    rows = np.zeros((size - 1 - n, size))
+    top = 0
     for v in range(n):
-        sel = [j for j in range(1, size) if vp[j] == v]
-        r = len(sel)
-        for k in range(1, r):
-            c = np.zeros(size, dtype=complex)
-            scale = norm / math.sqrt(k * (k + 1))
-            for i in range(k):
-                c[sel[i]] = scale
-            c[sel[k]] = -k * scale
-            basis.append(LevelFunction(p, 0, n, c))
-    expected = p ** n - 1 - n
-    if len(basis) != expected:
-        raise RuntimeError(f"cusp basis dimension {len(basis)} != {expected}")
-    return basis
+        sel = np.flatnonzero(vp == v)
+        k = np.arange(1, sel.size)
+        scale = norm / np.sqrt(k * (k + 1))
+        helmert = np.tri(k.size, sel.size) * scale[:, None]
+        helmert[k - 1, k] = -k * scale
+        rows[top:top + k.size, sel] = helmert
+        top += k.size
+    if top != rows.shape[0]:
+        raise RuntimeError(f"cusp basis dimension {top} != {rows.shape[0]}")
+    rows.flags.writeable = False
+    return rows
+
+
+def cusp_space_basis(p: int, n: int) -> list[LevelFunction]:
+    """Orthonormal basis of V(p, n): level (0, n), supported in Z_p minus
+    p^n Z_p, zero average on each shell.  Dimension p^n - 1 - n."""
+    return [LevelFunction(p, 0, n, row) for row in _cusp_basis_rows(p, n)]
+
+
+def closed_form_spectrum(p: int, n: int) -> np.ndarray:
+    """The cuspidal spectrum the theory predicts, ascending.
+
+    The eigenvalue f log p (the log of the conductor p^f), f = 1..n, has
+    multiplicity (phi(p^f) - phi(p^(f-1))) (n - f + 1), phi Euler's totient.
+    """
+    _check_cusp_level(p, n)
+    totient = [1] + [p ** (f - 1) * (p - 1) for f in range(1, n + 1)]
+    mult = [(totient[f] - totient[f - 1]) * (n - f + 1) for f in range(1, n + 1)]
+    return np.repeat(np.arange(1, n + 1) * math.log(p), mult)
 
 
 @dataclass(frozen=True)
 class ConductorMatrix:
-    """H compressed to the cuspidal space V(p, n) in an orthonormal basis."""
+    """H compressed to the cuspidal space V(p, n) in an orthonormal basis.
+
+    basis holds the basis vectors as the rows of a real (dim, p^n) array.
+    """
 
     p: int
     n: int
     matrix: np.ndarray
-    basis: tuple[LevelFunction, ...]
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -282,18 +323,20 @@ class ConductorMatrix:
 
 
 def conductor_matrix(p: int, n: int) -> ConductorMatrix:
-    basis = cusp_space_basis(p, n)
-    dim = len(basis)
-    images = [conductor_apply(e) for e in basis]
-    M = np.empty((dim, dim), dtype=complex)
-    scale = p ** (-n)
-    for b, img in enumerate(images):
-        for a, e in enumerate(basis):
-            M[a, b] = np.sum(img.coeffs * np.conjugate(e.coeffs)) * scale
-    defect = float(np.max(np.abs(M - M.conj().T), initial=0.0))
+    """M = E H(E)^T p^-n in real arithmetic: the basis E is real and log|xi|
+    is even, so H maps real functions to real ones."""
+    E = _cusp_basis_rows(p, n)
+    images = _conductor_rows(p, 0, n, E)
+    peak = float(np.max(np.abs(images), initial=0.0))
+    residue = float(np.max(np.abs(images.imag), initial=0.0))
+    if residue > 1e-12 * peak:
+        raise RuntimeError(
+            f"conductor images imaginary residue {residue:.2e} > 1e-12 of {peak:.2e}")
+    M = (E @ images.real.T) * p ** (-n)
+    defect = float(np.max(np.abs(M - M.T), initial=0.0))
     if defect > 1e-12:
         raise RuntimeError(f"conductor matrix Hermiticity defect {defect:.2e} > 1e-12")
-    return ConductorMatrix(p, n, 0.5 * (M + M.conj().T), tuple(basis))
+    return ConductorMatrix(p, n, 0.5 * (M + M.T), E)
 
 
 def cuspidal_spectrum(p: int, n: int) -> np.ndarray:

@@ -228,8 +228,16 @@ _HEADER_RE = re.compile(
     r"^# zeta-zeros v1 t_max=(\S+) accuracy=(\S+) count=(\d+)\s*$")
 
 
+def _format_t_max(t_max: float) -> str:
+    """6 significant digits when they read back exactly, else the shortest
+    round-trip repr, so a written header always re-reads at the same t_max."""
+    t_max = float(t_max)
+    short = f"{t_max:.6g}"
+    return short if float(short) == t_max else repr(t_max)
+
+
 def _format_zero_table(table: ZeroTable) -> str:
-    lines = [f"# zeta-zeros v1 t_max={table.t_max:.6g} "
+    lines = [f"# zeta-zeros v1 t_max={_format_t_max(table.t_max)} "
              f"accuracy={table.accuracy:.3g} count={len(table)}"]
     # 17 significant digits: exact float round trip, >= 12 as the format demands
     lines.extend(f"{g:.17g}" for g in table.ordinates)
@@ -258,8 +266,12 @@ def read_zero_table(src, certify: bool = True) -> ZeroTable:
     elif isinstance(src, str) and "\n" in src:
         text = src
     else:
-        with open(src, "r", encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(src, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"zero-table file is not ASCII: {exc.reason} "
+                             f"at byte {exc.start}") from None
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty zero-table stream")

@@ -7,8 +7,9 @@ import mpmath as mp
 import numpy as np
 
 from eflab import weil
-from eflab.padic import (GAUSSIAN, LevelFunction, cusp_project, fourier_level,
-                         cuspidal_spectrum, gamma_identity_check, haran_term,
+from eflab.padic import (GAUSSIAN, LevelFunction, closed_form_spectrum,
+                         cusp_project, cuspidal_spectrum, fourier_level,
+                         gamma_identity_check, haran_term,
                          mellin_fourier_check, reflect_level)
 from eflab.special import EULER_GAMMA, Place, gamma_factor
 from eflab.testfn import StepFunction
@@ -110,14 +111,21 @@ def test_c07_step_closed_form():
 
 def test_c08_conductor_spectra():
     worst = 0.0
-    for p, n in ((3, 3), (5, 2)):
-        ratios = cuspidal_spectrum(p, n) / math.log(p)
+    closed_gap = 0.0
+    for p, n in ((3, 3), (5, 2), (2, 3)):
+        ev = cuspidal_spectrum(p, n)
+        ratios = ev / math.log(p)
         worst = max(worst, float(np.max(np.abs(ratios - np.round(ratios)))))
+        closed = closed_form_spectrum(p, n)
+        assert closed.shape == ev.shape
+        closed_gap = max(closed_gap, float(np.max(np.abs(ev - closed))) / math.log(p))
     ev2 = cuspidal_spectrum(2, 3)
     min2 = float(ev2.min()) if ev2.size else math.inf
-    ok = worst <= 1e-8 and min2 >= 2.0 * math.log(2.0) - 1e-8
-    report(8, ok, "cuspidal spectra are integer multiples of log p; "
-           "p=2 floor at 2 log 2", f"ratio defect {worst:.2e}, p=2 min {min2:.6f}")
+    ok = worst <= 1e-8 and closed_gap <= 1e-8 and min2 >= 2.0 * math.log(2.0) - 1e-8
+    report(8, ok, "cuspidal spectra are integer multiples of log p and match "
+           "the closed form; p=2 floor at 2 log 2",
+           f"ratio defect {worst:.2e}, closed-form gap {closed_gap:.2e}, "
+           f"p=2 min {min2:.6f}")
 
 
 def test_c09_finite_fourier():

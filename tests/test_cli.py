@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from eflab import padic
 from eflab.cli import main
 from eflab.zeta import write_zero_table
 
@@ -118,6 +119,11 @@ class TestWeilCommand:
                                 "--testfn", "step:X=4"])
         assert code == 1 and "error" in err
 
+    def test_non_numeric_place_exits_one(self):
+        code, _, err = run_cli(["weil", "--place", "x", "--form", "all",
+                                "--testfn", "step:X=4"])
+        assert code == 1 and "place must be 'r' or a prime" in err
+
     def test_determinism(self):
         argv = ["weil", "--place", "r", "--form", "all",
                 "--testfn", "bump:mu=0.2,sigma=0.4"]
@@ -151,10 +157,32 @@ class TestConductorCommand:
 
     def test_size_cap(self):
         code, _, err = run_cli(["conductor", "--p", "3", "--n", "8"])
-        assert code == 1 and "error" in err
+        assert code == 1 and "exceeds the desk-scale cap 2048" in err
+
+    def test_size_cap_is_the_shared_constant(self, monkeypatch):
+        monkeypatch.setattr(padic, "LEVEL_SIZE_MAX", 8)
+        code, _, err = run_cli(["conductor", "--p", "3", "--n", "2"])
+        assert code == 1 and "exceeds the desk-scale cap 8" in err
+
+    def test_closed_form_mismatch_exits_two(self, monkeypatch):
+        code, expected, err = run_cli(["conductor", "--p", "3", "--n", "2"])
+        assert code == 0 and err == ""
+        good = padic.cuspidal_spectrum(3, 2)
+        monkeypatch.setattr(padic, "closed_form_spectrum",
+                            lambda p, n: good + 1e-6 * math.log(3.0))
+        code, out, err = run_cli(["conductor", "--p", "3", "--n", "2"])
+        assert code == 2 and "closed-form" in err
+        assert out == expected  # the closed-form route adds no rows
 
 
 class TestParsing:
+    def test_program_value_error_is_not_an_input_error(self, monkeypatch):
+        def broken(p, n):
+            raise ValueError("bug")
+        monkeypatch.setattr(padic, "cuspidal_spectrum", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["conductor", "--p", "3", "--n", "2"])
+
     def test_unknown_flag_exits_one(self):
         code, _, err = run_cli(["zeros", "find", "--t-max", "30", "--frobnicate"])
         assert code == 1 and "error" in err

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eflab import weil
 from eflab.errors import AdmissibilityError, DomainError
 from eflab.padic import (GAUSSIAN, LevelFunction, RealTestInput, ShellFunction,
-                         additive_character, commutation_check,
-                         conductor_apply, conductor_matrix, cusp_project,
+                         _conductor_rows, _cusp_basis_rows,
+                         additive_character, closed_form_spectrum,
+                         commutation_check, conductor_apply, conductor_matrix,
+                         cusp_project,
                          cusp_space_basis, cuspidal_spectrum, fourier_level,
                          fourier_inverse_level, g_apply, gamma_identity_check,
                          haran_term, inversion, level_distance,
@@ -265,6 +269,103 @@ class TestConductor:
                 lhs = conductor_apply(unit_action(phi, u))
                 rhs = unit_action(conductor_apply(phi), u)
                 assert level_distance(lhs, rhs) <= 1e-12
+
+
+def dense_conductor_matrix(p, n):
+    """E H E^T p^-n with H = diag(log|t|) + F diag(log|xi|) F^{-1} built from
+    explicit DFT matrices at level (0, n); E is the cusp basis."""
+    size = p ** n
+    vp = np.zeros(size, dtype=np.int64)
+    for j in range(1, size):
+        while j % p ** (vp[j] + 1) == 0:
+            vp[j] += 1
+    logp = math.log(p)
+    log_t = -vp * logp          # |t| = p^-v(j) on the coset of j
+    log_xi = (n - vp) * logp    # |xi| = p^(n - v(j)) at xi = p^-n j
+    log_t[0] = log_xi[0] = 0.0  # both multipliers see data vanishing there
+    j = np.arange(size)
+    dft = np.exp(-2j * np.pi * (np.outer(j, j) % size) / size)
+    f_inv = p ** (-n) * dft                   # level (0, n) -> (n, 0)
+    f_fwd = p ** n * dft.conj() / size        # level (n, 0) -> (0, n)
+    H = np.diag(log_t) + f_fwd @ np.diag(log_xi) @ f_inv
+    E = np.array([e.coeffs.real for e in cusp_space_basis(p, n)])
+    return E @ H @ E.T * p ** (-n)
+
+
+#: the cusp levels of the conductor-spectra benchmark, dimensions 22 to 507
+BENCH_LEVELS = ((5, 2), (3, 3), (2, 5), (29, 1), (7, 2), (2, 6), (53, 1), (59, 1),
+                (11, 2), (2, 7), (5, 3), (127, 1), (3, 5), (2, 8), (239, 1),
+                (241, 1), (2, 9), (499, 1), (503, 1), (509, 1))
+
+
+class TestConductorKernel:
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (2, 5)])
+    def test_matrix_matches_dense_reference(self, p, n):
+        ref = dense_conductor_matrix(p, n)
+        assert np.max(np.abs(conductor_matrix(p, n).matrix - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("p,m,n", [(3, 0, 2), (3, 1, 2), (2, 2, 3), (5, 1, 1)])
+    def test_batch_equals_single_rows(self, p, m, n):
+        rows = np.array([cusp_project(random_level(p, m, n, seed)).coeffs
+                         for seed in range(5)])
+        batch = _conductor_rows(p, m, n, rows)
+        for row, out in zip(rows, batch):
+            single = conductor_apply(LevelFunction(p, m, n, row)).coeffs
+            assert np.max(np.abs(out - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_radial_row_in_batch_rejected(self):
+        rows = np.vstack([_cusp_basis_rows(3, 2), np.ones(9)])
+        with pytest.raises(AdmissibilityError, match="coset of 0"):
+            _conductor_rows(3, 0, 2, rows)
+
+    def test_nonzero_integral_row_in_batch_rejected(self):
+        unit = np.zeros(9)
+        unit[1] = 1.0  # vanishes on the 0-coset, integral 1/9
+        rows = np.vstack([_cusp_basis_rows(3, 2), unit])
+        with pytest.raises(AdmissibilityError, match="total integral 0"):
+            _conductor_rows(3, 0, 2, rows)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 5), (3, 3), (5, 2), (2, 8), (7, 3)])
+    def test_basis_rows_orthonormal(self, p, n):
+        E = _cusp_basis_rows(p, n)
+        assert E.shape == (p ** n - 1 - n, p ** n)
+        gram = E @ E.T * p ** (-n)
+        assert np.max(np.abs(gram - np.eye(E.shape[0])), initial=0.0) <= 1e-13
+
+    def test_basis_rows_are_the_level_functions(self):
+        E = _cusp_basis_rows(3, 3)
+        assert np.array_equal(np.array([e.coeffs for e in cusp_space_basis(3, 3)]), E)
+        assert np.array_equal(conductor_matrix(3, 3).basis, E)
+
+    @pytest.mark.parametrize("p,n", BENCH_LEVELS + ((3, 6),))
+    def test_eigenvalues_match_closed_form(self, p, n):
+        ev = cuspidal_spectrum(p, n)
+        closed = closed_form_spectrum(p, n)
+        assert ev.shape == closed.shape
+        assert np.max(np.abs(ev - closed)) / math.log(p) <= 1e-8
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 1), (3, 4), (7, 2), (2, 11)])
+    def test_closed_form_dimension_and_floor(self, p, n):
+        closed = closed_form_spectrum(p, n)
+        assert closed.size == p ** n - 1 - n
+        assert np.all(np.diff(closed) >= 0.0)
+        floor = 2 if p == 2 else 1
+        if closed.size:
+            assert closed[0] == pytest.approx(floor * math.log(p))
+
+    def test_closed_form_shares_the_cap(self):
+        with pytest.raises(DomainError, match="desk-scale cap"):
+            closed_form_spectrum(3, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), m=st.integers(0, 2), n=st.integers(1, 3),
+           u=st.integers(1, 10 ** 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_commutes_with_unit_action_property(self, p, m, n, u, seed):
+        assume(u % p != 0)
+        phi = cusp_project(random_level(p, m, n, seed))
+        lhs = conductor_apply(unit_action(phi, u))
+        rhs = unit_action(conductor_apply(phi), u)
+        assert level_distance(lhs, rhs) <= 1e-12 * math.sqrt(phi.norm_sq())
 
 
 class TestInversion:

@@ -209,6 +209,22 @@ class TestZeroTableIO:
         with pytest.raises(CertificationError):
             read_zero_table(io.StringIO(text))
 
+    def test_header_t_max_round_trips(self):
+        # 6 significant digits would write t_max=14.1347, below the one ordinate
+        table = find_zeros(14.134726)
+        text = zero_table_to_string(table)
+        assert text.startswith("# zeta-zeros v1 t_max=14.134726 ")
+        back = read_zero_table(text)
+        assert back.t_max == table.t_max
+        assert np.array_equal(back.ordinates, table.ordinates)
+
+    def test_non_ascii_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_bytes("# zeta-zeros v1 t_max=30 accuracy=1e-09 count=0\n\u00e9\n"
+                         .encode("utf-8"))
+        with pytest.raises(ParseError, match="ASCII"):
+            read_zero_table(str(path))
+
     def test_write_to_path(self, tmp_path, zeros100):
         path = tmp_path / "z.txt"
         write_zero_table(zeros100, str(path))
