@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import AdmissibilityError, DomainError, ParseError
 from .quadrature import panel_nodes
@@ -38,6 +38,31 @@ from .quadrature import panel_nodes
 CONV_SPACING = 1.0 / 512.0
 
 _MELLIN_CHUNK = 512
+
+#: Points in the local Lagrange stencil of log-grid interpolation.
+_STENCIL = 8
+
+
+def _mellin_sum(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k F_k e^{s x_k} for every s, in blocks of _MELLIN_CHUNK ordinates."""
+    out = np.empty(s.shape, dtype=complex)
+    for lo in range(0, s.size, _MELLIN_CHUNK):
+        blk = s[lo:lo + _MELLIN_CHUNK]
+        out[lo:lo + _MELLIN_CHUNK] = F @ np.exp(np.multiply.outer(x, blk))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde(m: int) -> np.ndarray:
+    """Inverse Vandermonde matrix of the m nodes -(m-1)/2, ..., (m-1)/2.
+
+    Row j maps m samples at those nodes to the u^j coefficient of their
+    interpolating polynomial.
+    """
+    u = np.arange(m) - (m - 1) / 2.0
+    inv = np.linalg.inv(np.vander(u, increasing=True))
+    inv.flags.writeable = False
+    return inv
 
 
 def _bump_kernel(xi: np.ndarray, order: int = 0) -> np.ndarray:
@@ -120,12 +145,7 @@ class TestFunction:
             return np.zeros(s.shape, dtype=complex)
         osc = float(np.max(np.abs(s.imag))) if s.size else 0.0
         x, w = panel_nodes(self._breakpoints(), density=64.0, osc=osc)
-        F = w * np.asarray(self.profile(x), dtype=complex)
-        out = np.empty(s.shape, dtype=complex)
-        for lo in range(0, s.size, _MELLIN_CHUNK):
-            blk = s[lo:lo + _MELLIN_CHUNK]
-            out[lo:lo + _MELLIN_CHUNK] = F @ np.exp(np.multiply.outer(x, blk))
-        return out
+        return _mellin_sum(x, w * np.asarray(self.profile(x), dtype=complex), s)
 
     # -- algebra -------------------------------------------------------------
     def transpose(self) -> "TestFunction":
@@ -346,11 +366,14 @@ def derivation_D(g: TestFunction) -> TestFunction:
 
 @dataclass(frozen=True)
 class LogGridFunction(TestFunction):
-    """Samples on a uniform log grid with cubic-spline evaluation.
+    """Samples on a uniform log grid with local 8-point Lagrange evaluation.
 
     Produced by mconvolve; the grid values are the convolution's trapezoid
     sums, spectrally accurate because the integrand is smooth and compactly
     supported, and the Mellin transform is taken directly on the grid.
+    Between samples the profile and its first two derivatives come from the
+    degree-7 polynomial through the 8 nearest samples (the window is clipped
+    at the grid ends; shorter grids use all of their samples).
     """
 
     x0: float
@@ -361,7 +384,6 @@ class LogGridFunction(TestFunction):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_spline", None)
 
     @property
     def xs(self) -> np.ndarray:
@@ -376,21 +398,8 @@ class LogGridFunction(TestFunction):
             return (0.0, 0.0)
         return (self.x0, self.x0 + self.h * (self.values.size - 1))
 
-    def _get_spline(self):
-        sp = object.__getattribute__(self, "_spline")
-        if sp is None:
-            sp = CubicSpline(self.xs, self.values, bc_type="natural")
-            object.__setattr__(self, "_spline", sp)
-        return sp
-
     def profile(self, x):
-        x = np.asarray(x, dtype=float)
-        a, b = self.support_log()
-        out = np.zeros(x.shape, dtype=complex)
-        m = (x >= a) & (x <= b)
-        if m.any():
-            out[m] = self._get_spline()(x[m])
-        return out
+        return self.profile_deriv(x, 0)
 
     def profile_deriv(self, x, order: int = 1):
         if order > 2:
@@ -399,8 +408,18 @@ class LogGridFunction(TestFunction):
         a, b = self.support_log()
         out = np.zeros(x.shape, dtype=complex)
         m = (x >= a) & (x <= b)
-        if m.any():
-            out[m] = self._get_spline().derivative(order)(x[m])
+        n = self.values.size
+        if n == 0 or not m.any():
+            return out
+        k = min(_STENCIL, n)
+        t = (x[m] - self.x0) / self.h
+        start = np.clip(np.floor(t).astype(np.intp) - (k // 2 - 1), 0, n - k)
+        u = t - start - (k - 1) / 2.0
+        coef = self.values[start[:, None] + np.arange(k)] @ _inverse_vandermonde(k).T
+        val = np.zeros(u.shape, dtype=complex)
+        for j in range(k - 1, order - 1, -1):
+            val = val * u + math.perm(j, order) * coef[:, j]
+        out[m] = val / self.h**order
         return out
 
     def _mellin_many(self, s):
@@ -408,19 +427,16 @@ class LogGridFunction(TestFunction):
         # h-weighted sum is the trapezoid rule at spectral accuracy.
         if self.is_zero:
             return np.zeros(s.shape, dtype=complex)
-        x = self.xs
-        F = self.h * self.values
-        out = np.empty(s.shape, dtype=complex)
-        for lo in range(0, s.size, _MELLIN_CHUNK):
-            blk = s[lo:lo + _MELLIN_CHUNK]
-            out[lo:lo + _MELLIN_CHUNK] = F @ np.exp(np.multiply.outer(x, blk))
-        return out
+        return _mellin_sum(self.xs, self.h * self.values, s)
 
     def transpose(self):
         if self.values.size == 0:
             return self
         xs = self.xs
-        vals = np.exp(xs) * self.values  # e^{-x'} v(-x') on the mirrored grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(xs) * self.values  # e^{-x'} v(-x') on the mirrored grid
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(f"transpose overflows: the log grid reaches x = {xs[-1]:g}")
         return LogGridFunction(-float(xs[-1]), self.h, vals[::-1].copy())
 
     def conjugate(self):

@@ -376,6 +376,8 @@ def psi_sum(X: float) -> float:
     X = float(X)
     if not X > 1.0:
         raise DomainError("psi_sum needs X > 1")
+    if not math.isfinite(X):
+        raise DomainError("psi_sum needs a finite X")
     limit = int(math.floor(X + 1e-9))
     if limit < 2:
         return 0.0

@@ -80,6 +80,13 @@ class TestEfCommand:
         assert code == 0
         assert "residual," in out
 
+    @pytest.mark.parametrize("X, message", [
+        ("inf", "finite"), ("nan", "X > 1"), ("1e300", "sieve limit")])
+    def test_vonmangoldt_bad_X_exits_one(self, zeros100_file, X, message):
+        code, _, err = run_cli(["ef", "vonmangoldt", "--X", X,
+                                "--zeros", zeros100_file])
+        assert code == 1 and message in err
+
     def test_positivity(self, zeros100_file):
         code, out, _ = run_cli(["ef", "positivity", "--testfn",
                                 "bump:mu=0.7,sigma=0.6", "--zeros", zeros100_file])
@@ -186,6 +193,16 @@ class TestParsing:
     def test_unknown_flag_exits_one(self):
         code, _, err = run_cli(["zeros", "find", "--t-max", "30", "--frobnicate"])
         assert code == 1 and "error" in err
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, eflab; a = [m for m in sys.modules if m.startswith('scipy')]; "
+             "import eflab.cli; b = [m for m in sys.modules if m.startswith('scipy')]; "
+             "print(len(a), len(b))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
     def test_console_script_runs(self):
         proc = subprocess.run([sys.executable, "-m", "eflab.cli", "conductor",

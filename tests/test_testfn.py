@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from eflab.errors import AdmissibilityError, DomainError, ParseError
-from eflab.testfn import (BumpCombination, StepFunction, autocorrelate, bump,
-                          derivation_D, mconvolve, parse_test_function)
+from eflab.testfn import (BumpCombination, LogGridFunction, StepFunction,
+                          autocorrelate, bump, derivation_D, mconvolve,
+                          parse_test_function)
 
 from conftest import G0
 
@@ -197,6 +198,56 @@ class TestConvolution:
     def test_step_rejected(self):
         with pytest.raises(AdmissibilityError):
             mconvolve(StepFunction(2.0), G0)
+
+
+class TestLogGrid:
+    def test_sampled_bump_profile_and_derivatives(self):
+        # G0 sampled at the default spacing 1/512.  Measured worst errors
+        # relative to each curve's peak at 4000 random points: 9.8e-11,
+        # 4.6e-8 and 4.1e-6 for orders 0, 1, 2 (a natural cubic spline gave
+        # 6.6e-9, 2.9e-6 and 9.4e-4).
+        h = 1.0 / 512.0
+        a, b = G0.support_log()
+        i0, i1 = math.floor(a / h) - 1, math.ceil(b / h) + 1
+        grid = LogGridFunction(i0 * h, h, G0.profile(np.arange(i0, i1 + 1) * h))
+        x = np.random.default_rng(0).uniform(a - 0.01, b + 0.01, 4000)
+        for order, tol in ((0, 2e-10), (1, 1e-7), (2, 1e-5)):
+            ref = G0.profile(x) if order == 0 else G0.profile_deriv(x, order)
+            got = grid.profile(x) if order == 0 else grid.profile_deriv(x, order)
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), order
+
+    def test_stencil_is_the_eight_nearest_samples(self):
+        # Interpolating t^8 leaves exactly prod(t - t_j) over the stencil,
+        # which pins the window: the 8 samples around t, clipped at the grid
+        # ends.  Rounding in the samples (up to 5.5^8) is 4e-10 at most.
+        xs = np.arange(12) - 5.5
+        grid = LogGridFunction(-5.5, 1.0, xs ** 8)
+        for t in (-5.5, -5.2, -3.1, -0.3, 0.0, 0.4, 2.7, 5.4, 5.5):
+            start = min(max(math.floor(t + 5.5) - 3, 0), 4)
+            expected = t ** 8 - np.prod(t - xs[start:start + 8])
+            assert abs(grid.profile(np.array([t]))[0] - expected) <= 1e-8, t
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_short_grid_interpolates_its_nodes(self, n):
+        # Grids under 8 points use all their points.  Evaluation is in the
+        # monomial basis on nodes out to +-3.5, which amplifies rounding:
+        # 6e-14 of the peak was the worst of 3000 random grids.
+        v = np.array([1.0, 1j]) @ np.random.default_rng(n).normal(size=(2, n))
+        grid = LogGridFunction(-0.75, 0.25, v)
+        assert np.max(np.abs(grid.profile(grid.xs) - v)) <= 2e-13 * np.max(np.abs(v))
+
+    def test_short_grid_is_its_polynomial(self):
+        # Three points carry the quadratic through them, derivatives included.
+        grid = LogGridFunction(0.0, 0.5, np.array([1.0, 0.0, 3.0]))
+        x = np.array([0.2, 0.7])
+        assert np.allclose(grid.profile(x), 1.0 - 6.0 * x + 8.0 * x * x, atol=1e-14)
+        assert np.allclose(grid.profile_deriv(x, 1), -6.0 + 16.0 * x, atol=1e-13)
+        assert np.allclose(grid.profile_deriv(x, 2), 16.0, atol=1e-12)
+
+    def test_transpose_overflow_rejected(self):
+        grid = LogGridFunction(800.0, 0.5, np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(DomainError):
+            grid.transpose()
 
 
 class TestAutocorrelate:
