@@ -126,6 +126,14 @@ _PSI_COEF = (
 )
 
 _SHIFT_RE = 10.0
+_SHIFT_GUARD = 2_000_000
+
+
+def _check_shift_steps(z: np.ndarray, what: str) -> None:
+    # The recurrence below takes ceil(_SHIFT_RE - min Re z) unit steps; refuse
+    # more than _SHIFT_GUARD of them before taking any.
+    if z.size and _SHIFT_RE - float(np.min(z.real)) > _SHIFT_GUARD:
+        raise DomainError(f"{what}: argument too far left for desk scale")
 
 
 def _as_complex_array(s):
@@ -142,22 +150,19 @@ def log_gamma(s):
     z0, scalar = _as_complex_array(s)
     z = np.atleast_1d(z0).astype(np.complex128)
     _pole_check_gamma(z, "log_gamma")
+    _check_shift_steps(z, "log_gamma")
     acc = np.zeros_like(z)
     w = z.copy()
     # Recurrence log G(z) = log G(z+1) - log z, applied until Re(w) >= 10.
     # Principal logs stay principal here: each w+k avoids the cut (-inf, 0]
     # whenever z does, so the result is the analytic continuation from the
     # positive reals.
-    guard = 0
     while True:
         mask = w.real < _SHIFT_RE
         if not mask.any():
             break
         acc[mask] -= np.log(w[mask])
         w[mask] += 1.0
-        guard += 1
-        if guard > 2_000_000:
-            raise DomainError("log_gamma: argument too far left for desk scale")
     r2 = 1.0 / (w * w)
     ser = np.zeros_like(w)
     for c in reversed(_LG_COEF):
@@ -173,18 +178,15 @@ def digamma(s):
     z0, scalar = _as_complex_array(s)
     z = np.atleast_1d(z0).astype(np.complex128)
     _pole_check_gamma(z, "digamma")
+    _check_shift_steps(z, "digamma")
     acc = np.zeros_like(z)
     w = z.copy()
-    guard = 0
     while True:
         mask = w.real < _SHIFT_RE
         if not mask.any():
             break
         acc[mask] -= 1.0 / w[mask]
         w[mask] += 1.0
-        guard += 1
-        if guard > 2_000_000:
-            raise DomainError("digamma: argument too far left for desk scale")
     r2 = 1.0 / (w * w)
     ser = np.zeros_like(w)
     for c in reversed(_PSI_COEF):

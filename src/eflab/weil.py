@@ -41,7 +41,7 @@ from .padic import haran_term, w_field_prime, w_field_real
 from .quadrature import panel_nodes
 from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, lambda_factor
 from .testfn import StepFunction, TestFunction, autocorrelate
-from .zeta import ZeroTable, psi_sum
+from .zeta import ZeroTable, _sieve_for, psi_sum
 
 W_R_FORMS = ("finite", "series", "pf", "contour", "convolution")
 PRIME_METHODS = ("direct", "contour", "convolution")
@@ -237,14 +237,7 @@ def w_field(g: TestFunction, place: Place, y) -> complex:
 # place enumeration and reports
 
 def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return _sieve_for(n).primes.tolist() if n >= 2 else []
 
 
 def prime_places(g: TestFunction) -> list[int]:

@@ -7,6 +7,15 @@ and Bernoulli corrections through B_24, giving absolute error well below
 sign changes of the Hardy function Z(t) = e^{i theta(t)} zeta(1/2 + it) and
 certified against the counting formula N(t) = theta(t)/pi + 1 + S(t), with
 S tracked by phase continuity along the critical line.
+
+The phase track samples zeta(1/2 + it) every 0.01 from t = 6, about 1e5
+samples up to t = 1000.  On that uniform grid the Dirichlet phases factor,
+n^(-i(t_c + (jB + k)h)) = n^(-i(t_c + jBh)) n^(-ikh), so each chunk of samples
+is one matrix product (_zeta_line_grid; the multi-evaluation idea of
+Odlyzko-Schoenhage in its simplest form).  It differs from the direct sum by
+at most 2.9e-12 on the tracks up to t = 1000, far inside the 0.25 band the
+count is rounded with.  Ordinates are still located with the direct kernel:
+every value the scan and the bisection compare is computed sample by sample.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ _SCAN_REFINE = 8
 _TRACK_STEP = 0.01
 _TRACK_T0 = 6.0
 _LINE_CHUNK = 2048
+_GRID_BLOCK = 64
 
 # B_{2k} / (2k)! for the Euler-Maclaurin tail, k = 1..12 (through B_24).
 _B2K = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
@@ -46,17 +56,22 @@ def _em_terms_needed(t_abs: float) -> int:
     return max(32, int(1.15 * t_abs) + 16)
 
 
-def _zeta_em_batch(s: np.ndarray, N: int) -> np.ndarray:
-    """Euler-Maclaurin zeta for a 1-D complex array sharing the cut N."""
-    n = np.arange(1, N, dtype=float)
-    logn = np.log(n)
-    out = np.exp(-np.multiply.outer(s, logn)).sum(axis=1)
+def _add_em_tail(out: np.ndarray, s: np.ndarray, N: int) -> None:
+    """Add the Euler-Maclaurin remainder at the cut N to the partial sums in out."""
     Ns = np.exp(-s * math.log(N))
     out += 0.5 * Ns + Ns * (N / (s - 1.0))
     poch = s.copy()
     for k, coef in enumerate(_EM_COEF, start=1):
         out += coef * poch * Ns * float(N) ** (1 - 2 * k)
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+
+
+def _zeta_em_batch(s: np.ndarray, N: int) -> np.ndarray:
+    """Euler-Maclaurin zeta for a 1-D complex array sharing the cut N."""
+    n = np.arange(1, N, dtype=float)
+    logn = np.log(n)
+    out = np.exp(-np.multiply.outer(s, logn)).sum(axis=1)
+    _add_em_tail(out, s, N)
     return out
 
 
@@ -85,6 +100,31 @@ def _zeta_line_many(ts: np.ndarray) -> np.ndarray:
         chunk = sorted_ts[lo:lo + _LINE_CHUNK]
         N = _em_terms_needed(float(np.max(np.abs(chunk))))
         out[sel] = _zeta_em_batch(0.5 + 1j * chunk, N)
+    return out
+
+
+def _zeta_line_grid(ts: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + i t) on an ascending uniform grid of t >= 0, by factored phases.
+
+    Same chunks and cuts N as _zeta_line_many.  Inside a chunk starting at
+    t_c with step h, sample jB + k has n^(-i t) = n^(-i(t_c + jBh)) n^(-ikh), so
+    the Dirichlet sum is one (J x N) @ (N x B) product: (J + B) N exponentials
+    instead of J B N.  Differs from the direct kernel by rounding of t and of
+    the product, measured <= 2.9e-12 on the zero_count tracks up to t = 1000.
+    """
+    out = np.empty(ts.size, dtype=complex)
+    h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
+    k = np.arange(_GRID_BLOCK) * h
+    for lo in range(0, ts.size, _LINE_CHUNK):
+        chunk = ts[lo:lo + _LINE_CHUNK]
+        N = _em_terms_needed(float(chunk[-1]))
+        logn = np.log(np.arange(1, N, dtype=float))
+        starts = chunk[::_GRID_BLOCK]
+        A = np.exp(-np.multiply.outer(0.5 + 1j * starts, logn))
+        C = np.exp(-1j * np.multiply.outer(logn, k))
+        vals = (A @ C).ravel()[:chunk.size]
+        _add_em_tail(vals, 0.5 + 1j * chunk, N)
+        out[lo:lo + chunk.size] = vals
     return out
 
 
@@ -132,7 +172,7 @@ def zero_count(t: float) -> int:
         raise DomainError(f"zero_count is calibrated for t <= {T_DESK_MAX}")
     n_steps = max(1, int(math.ceil((t - _TRACK_T0) / _TRACK_STEP)))
     ts = np.linspace(_TRACK_T0, t, n_steps + 1)
-    vals = _zeta_line_many(ts)
+    vals = _zeta_line_grid(ts)
     # Samples essentially on top of a zero carry no usable phase; nudge them.
     tiny = np.abs(vals) < 1e-8
     if tiny.any():
@@ -339,28 +379,53 @@ def lambda_von_mangoldt(n: int) -> float:
 
 @dataclass(frozen=True)
 class VonMangoldtSieve:
-    """Prime powers n <= limit with their von Mangoldt values log p."""
+    """Primes and prime powers n <= limit with their von Mangoldt values.
+
+    powers is ascending, log_p[i] = Lambda(powers[i]) = log p and
+    psi[i] = log_p[0] + ... + log_p[i] summed in ascending order.  log p is
+    math.log(p): numpy's log differs from it in the last bit at a few primes.
+    All arrays are read-only.
+    """
 
     limit: int
-    entries: tuple[tuple[int, float], ...]
+    primes: np.ndarray
+    powers: np.ndarray
+    log_p: np.ndarray
+    psi: np.ndarray
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """(n, Lambda(n)) for every prime power n <= limit, ascending."""
+        return tuple(zip(self.powers.tolist(), self.log_p.tolist()))
 
     @staticmethod
     def build(limit: int) -> "VonMangoldtSieve":
         if not 2 <= limit <= SIEVE_LIMIT_MAX:
             raise DomainError(f"sieve limit must lie in [2, {SIEVE_LIMIT_MAX}]")
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        for p in range(2, limit + 1):
-            if spf[p] == 0:
-                spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
-        entries = []
-        for p in range(2, limit + 1):
-            if spf[p] == p:  # prime
-                q = p
-                while q <= limit:
-                    entries.append((q, math.log(p)))
-                    q *= p
-        entries.sort()
-        return VonMangoldtSieve(limit, tuple(entries))
+        is_prime = np.ones(limit + 1, dtype=bool)
+        is_prime[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if is_prime[p]:
+                is_prime[p * p::p] = False
+        primes = np.nonzero(is_prime)[0]
+        logs = np.array([math.log(p) for p in primes.tolist()])
+        # p^k <= limit holds for a prefix of the ascending primes at each k.
+        powers, which = [primes], [np.arange(primes.size)]
+        pk = primes
+        while True:
+            pk = pk * primes[:pk.size]
+            pk = pk[:np.searchsorted(pk, limit, side="right")]
+            if not pk.size:
+                break
+            powers.append(pk)
+            which.append(np.arange(pk.size))
+        powers = np.concatenate(powers)
+        order = np.argsort(powers)
+        log_p = logs[np.concatenate(which)[order]]
+        arrays = (primes, powers[order], log_p, np.cumsum(log_p))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return VonMangoldtSieve(limit, *arrays)
 
 
 @lru_cache(maxsize=8)
@@ -381,12 +446,10 @@ def psi_sum(X: float) -> float:
     limit = int(math.floor(X + 1e-9))
     if limit < 2:
         return 0.0
-    total = 0.0
-    for n, lam in _sieve_for(max(limit, 2)).entries:
-        if n > limit:
-            break
-        if abs(n - X) <= 1e-9:
-            total += 0.5 * lam
-        elif n < X:
-            total += lam
-    return total
+    sv = _sieve_for(limit)
+    # Prime powers are integers, so only the largest one <= limit can sit
+    # within 1e-9 of X; every other one lies below X and counts in full.
+    if abs(int(sv.powers[-1]) - X) <= 1e-9:
+        full = float(sv.psi[-2]) if sv.psi.size > 1 else 0.0
+        return full + 0.5 * float(sv.log_p[-1])
+    return float(sv.psi[-1])

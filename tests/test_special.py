@@ -1,6 +1,7 @@
 """Special functions: log-gamma, digamma, and the local gamma/lambda factors."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -87,6 +88,31 @@ class TestDigamma:
     def test_pole_error(self):
         with pytest.raises(PoleError):
             digamma(-2.0)
+
+
+class TestShiftGuard:
+    """The unit-step recurrence into Re w >= 10 refuses over 2e6 steps up front."""
+
+    @pytest.mark.parametrize("fn", [log_gamma, digamma])
+    @pytest.mark.parametrize("z,err", [(-1e7, PoleError), (-1e7 + 0.5, DomainError),
+                                       (-3e6 + 0.5j, DomainError),
+                                       (np.array([1.0, -1999990.5]), DomainError)])
+    def test_far_left_fails_fast(self, fn, z, err):
+        start = time.perf_counter()
+        with pytest.raises(err):
+            fn(z)
+        assert time.perf_counter() - start < 1.0
+
+    def test_message_names_function(self):
+        with pytest.raises(DomainError, match="log_gamma: argument too far left"):
+            log_gamma(-3e6 + 0.5j)
+        with pytest.raises(DomainError, match="digamma: argument too far left"):
+            digamma(-3e6 + 0.5j)
+
+    def test_left_of_origin_inside_guard(self):
+        for z in (-20.5 + 0.3j, -101.25):
+            assert abs(log_gamma(z) - complex(mp.loggamma(z))) <= 1e-11 * abs(complex(mp.loggamma(z)))
+            assert abs(digamma(z) - complex(mp.digamma(z))) <= 1e-11 * abs(complex(mp.digamma(z)))
 
 
 class TestGammaFactor:

@@ -3,17 +3,23 @@ and the zero-table text format."""
 
 import io
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eflab.errors import CertificationError, DomainError, ParseError, PoleError
-from eflab.special import log_gamma
-from eflab.zeta import (ZeroTable, VonMangoldtSieve, find_zeros, hardy_z,
-                        lambda_von_mangoldt, psi_sum, read_zero_table,
-                        rs_theta, write_zero_table, zero_count,
-                        zero_table_to_string, zeta_em)
+from eflab.special import is_prime, log_gamma
+from eflab.weil import _primes_up_to
+from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _TRACK_STEP, _TRACK_T0,
+                        ZeroTable, VonMangoldtSieve, _em_terms_needed,
+                        _zeta_em_batch, _zeta_line_grid, _zeta_line_many,
+                        find_zeros, hardy_z, lambda_von_mangoldt, psi_sum,
+                        read_zero_table, rs_theta, write_zero_table,
+                        zero_count, zero_table_to_string, zeta_em)
 
 
 def siegelz_scan_count(t_max, step=0.05):
@@ -123,6 +129,48 @@ class TestFindZeros:
             find_zeros(2000.0)
 
 
+def track_grid(t):
+    """The uniform grid zero_count samples on its way up to t."""
+    n_steps = max(1, int(math.ceil((t - _TRACK_T0) / _TRACK_STEP)))
+    return np.linspace(_TRACK_T0, t, n_steps + 1)
+
+
+def tracked_raw(t, kernel):
+    """zero_count's counting-formula value with the track evaluated by kernel."""
+    ts = track_grid(t)
+    vals = kernel(ts)
+    tiny = np.abs(vals) < 1e-8
+    if tiny.any():
+        ts = ts.copy()
+        ts[tiny] += 0.003
+        vals[tiny] = _zeta_line_many(ts[tiny])
+    var = float(np.sum(np.angle(vals[1:] / vals[:-1])))
+    return (rs_theta(t) - rs_theta(_TRACK_T0) + var) / math.pi
+
+
+class TestZetaLineGrid:
+    @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
+    def test_matches_direct_kernel_on_track(self, t):
+        ts = track_grid(t)
+        # ragged last block and last chunk
+        assert ts.size % _GRID_BLOCK and ts.size % _LINE_CHUNK
+        grid = _zeta_line_grid(ts)
+        if t == 330.0:
+            assert np.max(np.abs(grid - _zeta_line_many(ts))) <= 1e-11
+        # The direct kernel is per sample, so a stride-13 subset of each chunk
+        # at that chunk's cut N (plus the chunk's last sample) is exactly what
+        # _zeta_line_many returns there; 13 is prime to the block length.
+        for lo in range(0, ts.size, _LINE_CHUNK):
+            chunk = ts[lo:lo + _LINE_CHUNK]
+            idx = np.append(np.arange(0, chunk.size, 13), chunk.size - 1)
+            direct = _zeta_em_batch(0.5 + 1j * chunk[idx], _em_terms_needed(chunk[-1]))
+            assert np.max(np.abs(grid[lo + idx] - direct)) <= 1e-11
+
+    def test_short_grids(self):
+        for ts in (np.array([14.0]), np.array([14.0, 14.01]), np.linspace(20.0, 21.0, 65)):
+            assert np.max(np.abs(_zeta_line_grid(ts) - _zeta_line_many(ts))) <= 1e-11
+
+
 class TestZeroCount:
     @pytest.mark.parametrize("t,expected", [(20.0, 1), (50.0, 10), (100.0, 29)])
     def test_against_scan_oracle(self, t, expected):
@@ -132,6 +180,16 @@ class TestZeroCount:
     def test_matches_table_lengths(self, zeros50, zeros200):
         assert zero_count(50.0) == len(zeros50)
         assert zero_count(200.0) == len(zeros200)
+
+    @pytest.mark.parametrize("t", [14.2, 250.5, 500.5, 999.99])
+    def test_against_mpmath_nzeros(self, t):
+        assert zero_count(t) == mp.nzeros(t)
+
+    def test_grid_track_matches_direct_track(self):
+        raw_direct = tracked_raw(300.0, _zeta_line_many)
+        raw_grid = tracked_raw(300.0, _zeta_line_grid)
+        assert zero_count(300.0) == round(raw_direct)
+        assert abs(raw_grid - raw_direct) <= 1e-9
 
 
 class TestFunctionalEquation:
@@ -172,6 +230,59 @@ class TestVonMangoldt:
         sv = VonMangoldtSieve.build(30)
         ns = [n for n, _ in sv.entries]
         assert ns == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
+
+    def test_psi_sum_bit_identical_to_loop(self):
+        xs = [float(x) for x in np.arange(2.0, 200.0, 0.25)]
+        xs += [27.0 + 5e-10, 32.0 - 5e-10, 30.5, 1e6, 1e6 - 0.5, 999983.0]
+        entries = reference_entries(10 ** 6)
+        for x in xs:
+            assert psi_sum(x) == reference_psi_sum(x, entries), x
+
+    def test_sieve_entries_match_loop(self):
+        # math.log and numpy's log differ in the last bit at p = 285343
+        for limit in (2, 30, 1000, 65536, 10 ** 6):
+            assert VonMangoldtSieve.build(limit).entries == reference_entries(limit)
+
+    def test_primes_up_to_reads_sieve(self):
+        assert _primes_up_to(1) == []
+        assert _primes_up_to(1000) == [n for n in range(1001) if is_prime(n)]
+
+    def test_sieve_arrays_read_only(self):
+        sv = VonMangoldtSieve.build(30)
+        for arr in (sv.primes, sv.powers, sv.log_p, sv.psi):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+@lru_cache(maxsize=None)
+def reference_entries(limit):
+    """Reference entries from a smallest-prime-factor table, one step per integer."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if spf[p] == 0:
+            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    entries = []
+    for p in range(2, limit + 1):
+        if spf[p] == p:
+            q = p
+            while q <= limit:
+                entries.append((q, math.log(p)))
+                q *= p
+    return tuple(sorted(entries))
+
+
+def reference_psi_sum(X, entries):
+    """Reference psi_sum: one ascending scalar loop over the entries."""
+    limit = int(math.floor(X + 1e-9))
+    total = 0.0
+    for n, lam in entries:
+        if n > limit:
+            break
+        if abs(n - X) <= 1e-9:
+            total += 0.5 * lam
+        elif n < X:
+            total += lam
+    return total
 
 
 class TestZeroTableIO:
@@ -229,6 +340,19 @@ class TestZeroTableIO:
         path = tmp_path / "z.txt"
         write_zero_table(zeros100, str(path))
         assert read_zero_table(str(path)).count == 29
+
+    @settings(max_examples=80, deadline=None)
+    @given(t_max=st.floats(min_value=1e-3, max_value=1e4),
+           raw=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                        unique=True, max_size=40))
+    def test_round_trip_property(self, t_max, raw):
+        ords = np.unique(np.minimum(np.array(raw) * t_max, t_max))
+        ords = ords[ords > 0.0]
+        table = ZeroTable(ords, t_max, 1e-9)
+        back = read_zero_table(zero_table_to_string(table), certify=False)
+        assert back.t_max == t_max and back.count == table.count
+        assert np.array_equal(back.ordinates, table.ordinates)
+        assert back.ordinates.tobytes() == table.ordinates.tobytes()
 
     def test_hand_built_table_not_certified(self):
         t = ZeroTable(np.array([14.13, 21.02]), 25.0, 1e-9)
