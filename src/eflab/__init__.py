@@ -19,7 +19,7 @@ from .zeta import (VonMangoldtSieve, ZeroTable, find_zeros, hardy_z,
                    lambda_von_mangoldt, psi_sum, read_zero_table, rs_theta,
                    write_zero_table, zero_count, zeta_em)
 from .weil import (EFReport, PlaceTermReport, explicit_formula_check,
-                   place_term_report, positivity_q, reciprocal_zero_sum,
+                   local_term, place_term_report, positivity_q, reciprocal_zero_sum,
                    reciprocal_zero_sum_modulus, symmetry_shift, v_p_sum,
                    vonmangoldt_check, w_field, w_p, w_p_contour, w_r,
                    zero_side_sum)

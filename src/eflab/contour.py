@@ -2,9 +2,7 @@
 
 Integrals of the shape (1/2 pi i) int_{Re s = c} W(s) ghat(s) ds are computed
 in symmetric t-blocks [T, T+20] (plus the mirrored negative range), extended
-until the most recent block contributes less than the tolerance.  The Mellin
-values ghat(c + it) are cached per block, so several weights W (one per place)
-can reuse the same transform data.
+until the most recent block contributes less than the tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ T_CAP = 2000.0
 
 
 class VerticalLineIntegrator:
-    """Block-cached integrator for (1/2 pi i) int W(s) ghat(s) ds on Re s = c."""
+    """Blockwise integrator for (1/2 pi i) int W(s) ghat(s) ds on Re s = c."""
 
     def __init__(self, g, c: float = 0.5, weight_osc: float = 2.5):
         a, b = g.support_log()
@@ -28,27 +26,18 @@ class VerticalLineIntegrator:
         # t-oscillation of the integrand: ghat(c+it) rings at the support edges,
         # the weight at most at rate weight_osc (log p for prime places).
         self._osc = max(abs(a), abs(b)) + float(weight_osc)
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _block(self, k: int):
-        blk = self._blocks.get(k)
-        if blk is None:
-            lo, hi = k * BLOCK_WIDTH, (k + 1) * BLOCK_WIDTH
-            t, w = panel_nodes((lo, hi), density=8.0, osc=self._osc)
-            t = np.concatenate([-t[::-1], t])
-            w = np.concatenate([w[::-1], w])
-            gv = self._g.mellin(self.c + 1j * t)
-            blk = (t, w, gv)
-            self._blocks[k] = blk
-        return blk
 
     def integrate(self, weight_fn, tol: float = 1e-10) -> complex:
         """Integrate until the last block contributes < tol; error at the t cap."""
         total = 0.0 + 0.0j
         n_blocks = int(np.ceil(T_CAP / BLOCK_WIDTH))
         for k in range(n_blocks):
-            t, w, gv = self._block(k)
-            contrib = np.sum(w * gv * weight_fn(self.c + 1j * t)) / (2.0 * np.pi)
+            t, w = panel_nodes((k * BLOCK_WIDTH, (k + 1) * BLOCK_WIDTH),
+                               density=8.0, osc=self._osc)
+            t = np.concatenate([-t[::-1], t])
+            w = np.concatenate([w[::-1], w])
+            s = self.c + 1j * t
+            contrib = np.sum(w * self._g.mellin(s) * weight_fn(s)) / (2.0 * np.pi)
             total += contrib
             if abs(contrib) < tol:
                 return complex(total)

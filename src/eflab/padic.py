@@ -11,9 +11,10 @@ On these finite arenas the module realizes:
 
   * G, the Fourier transform of -log|x|, as exact shell sums at a prime and
     as a regularized quadrature at the real place;
-  * the local explicit-formula term as an additive convolution (G * g_nu)(1),
-    with the shell decomposition of t -> |1 - t|_p as the single source of
-    truth at finite places;
+  * the pointwise local term W_nu(g; y) = -log|y| g(|y|) + (G * g_nu)(y),
+    with the shell table of t -> |y - t|_p as the single source at finite
+    places and G applied by g_apply; the explicit-formula term
+    (G * g_nu)(1) is its |y| = 1 case;
   * the conductor operator H(phi) = log|t| phi + F(log|xi| F^{-1}(phi)),
     restricted to the cuspidal space V(p, n) where its spectrum is a set of
     integer multiples of log p;
@@ -512,96 +513,45 @@ def g_apply(place: Place, phi) -> complex:
     return logp * (inner + outer) + logp * phi0 / (p - 1)
 
 
-# Shell decomposition of t -> |1 - t|_p (additive measure, vol(Z_p) = 1):
-#   |t| = p^k, k >= 1   : |1-t| = p^k on the whole shell, measure p^k (1-1/p)
-#   |t| <= 1/p          : |1-t| = 1, measure 1/p
-#   |t| = 1             : |1-t| = p^-w has measure p^-w (1-1/p) for w >= 1,
-#                         and |1-t| = 1 has measure (p-2)/p  (empty for p = 2)
-# This table is the single source of truth for the prime-place Haran sums and
-# is unit-tested against brute-force coset enumeration at level n = 4.
-
-def _haran_prime(g: TestFunction, p: int) -> complex:
-    """(G * g_p)(1) = G(t -> g(|1-t|_p)) via the shell table; exact finite sums."""
-    logp = math.log(p)
-    g1 = complex(g.evaluate(1.0))
-    a, b = g.support_log()
-    # unit shell: |1-t| = p^-w with weight p^-w (1-1/p); subtract phi(0) = g(1)
-    w_hi = max(0, math.floor(-a / logp + 1e-12))
-    inner = 0.0 + 0.0j
-    for w in range(1, w_hi + 1):
-        inner += float(p) ** (-w) * complex(g.evaluate(float(p) ** (-w)))
-    inner -= g1 / (p - 1)  # exact tail of -g(1) * sum_{w>=1} p^-w
-    # shells |t| = p^k, k >= 1: |1-t| = p^k, weight dt/|t| integrates to 1-1/p
-    k_hi = max(0, math.floor(b / logp + 1e-12))
-    outer = 0.0 + 0.0j
-    for k in range(1, k_hi + 1):
-        outer += complex(g.evaluate(float(p) ** k))
-    # shells |t| <= 1/p contribute phi - phi(0) = g(1) - g(1) = 0
-    return logp * (inner + outer) + logp * g1 / (p - 1)
-
-
-def haran_term(g: TestFunction, place: Place) -> complex:
-    """The local explicit-formula term as the additive convolution (G * g_nu)(1).
-
-    Exact shell sums at a prime place (any test-function kind); regularized
-    quadrature at the real place (smooth kinds only).
-    """
-    if place.is_real:
-        if not g.is_smooth:
-            raise AdmissibilityError(
-                "real-place haran_term routes step functions to closed forms only")
-        a, b = g.support_log()
-        u1, u2 = math.exp(a), math.exp(b)
-        kinks = sorted({0.0, 1.0, 1.0 - u2, 1.0 - u1, 1.0 + u1, 1.0 + u2})
-        phi = RealTestInput(
-            fn=lambda t: g.evaluate(np.abs(1.0 - np.asarray(t, dtype=float))),
-            value_at_zero=complex(g.evaluate(1.0)),
-            breakpoints=tuple(kinks),
-            support_lo=1.0 - u2, support_hi=1.0 + u2)
-        return _g_real_apply(phi)
-    return _haran_prime(g, place.p)
+def _valuation(v) -> int:
+    """v as an int; a prime-place point is given by its integral valuation."""
+    try:
+        if v == int(v):
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"a p-adic valuation must be an integer, got {v!r}")
 
 
 def w_field_prime(g: TestFunction, p: int, y_valuation: int) -> complex:
     """W_p(g; y) = -log|y| g(|y|) + (G * g_p)(y) for |y|_p = p^(-y_valuation).
 
-    The convolution is an exact shell sum built from the |y - t| analogue of
-    the |1 - t| table: on shells |t| != |y| the distance is max(|t|, |y|);
-    on |t| = |y| the unit-shell sub-decomposition applies, rescaled.
+    (G * g_p)(y) is G applied to psi(t) = g(|y - t|_p).  G is radial, so it
+    sees only the shell averages of psi, which the |y - t| table gives
+    (additive measure, vol(Z_p) = 1):
+
+      |t| > |y| : |y - t| = |t|, so psi = g(|t|)
+      |t| = |y| : t = y u with u a unit; |1 - u| = p^-w has conditional
+                  measure p^-w for w >= 1 and |1 - u| = 1 has (p-2)/(p-1),
+                  so psi averages to (p-2)/(p-1) g(|y|) + sum_w p^-w g(p^-w |y|)
+      |t| < |y| : |y - t| = |y|, so psi = g(|y|)
+
+    At |y| = 1 the unit-shell measures are unit-tested against brute-force
+    coset enumeration at level n = 4.
     """
-    if not is_prime(p):
-        raise DomainError(f"not a prime: {p}")
-    logp = math.log(p)
-    a = -int(y_valuation)  # |y| = p^a
-
-    def ge(e: int) -> complex:
-        return complex(g.evaluate(float(p) ** e))
-
-    lo, hi = g.support_log()
-    e_lo = math.ceil(lo / logp - 1e-12)
-    e_hi = math.floor(hi / logp + 1e-12)
-    psi0 = ge(a)  # psi(0) = g(|y - 0|) = g(|y|)
-
-    # shell |t| = |y|: |y-t| = p^(a-w) with conditional weight p^-w (w >= 1),
-    # |y-t| = p^a with weight (p-2)/(p-1)
-    mixed = ((p - 2) / (p - 1)) * ge(a)
-    for w in range(1, max(0, a - e_lo) + 1):
-        mixed += float(p) ** (-w) * ge(a - w)
-
-    # shells |t| <= 1 carry psi - psi(0); only shells with |t| >= |y| survive
-    inner = 0.0 + 0.0j
-    if a <= 0:
-        inner += mixed - psi0
-        for c in range(a + 1, 1):
-            inner += ge(c) - psi0
-    # shells |t| = p^k, k >= 1, carry psi itself
-    outer = 0.0 + 0.0j
-    if a >= 1:
-        outer += mixed + (a - 1) * psi0
-    for c in range(max(a + 1, 1), max(e_hi, 0) + 1):
-        outer += ge(c)
-    conv = logp * (inner + outer) + logp * psi0 / (p - 1)
-    return -a * logp * psi0 + conv
+    vy = _valuation(y_valuation)
+    lifted = lift_radial(g, p)  # g(|t|) on each shell; zero off the support
+    gy = lifted.shell_value(vy)
+    mixed = (p - 2) / (p - 1) * gy
+    for v in range(vy + 1, lifted.v_max + 1):
+        mixed += float(p) ** (vy - v) * lifted.shell_value(v)
+    # shells between the support and a smaller |y| are zero (and so is g(|y|)),
+    # so the window stops one shell past the support
+    top = min(vy, lifted.v_max + 1)
+    v_lo = min(lifted.v_min, top)
+    values = tuple(lifted.shell_value(v) for v in range(v_lo, top)) + (mixed,)
+    conv = g_apply(Place.prime(p), ShellFunction(p, v_lo, top, values, gy))
+    return vy * math.log(p) * gy + conv
 
 
 def w_field_real(g: TestFunction, y: float) -> complex:
@@ -620,6 +570,29 @@ def w_field_real(g: TestFunction, y: float) -> complex:
         breakpoints=tuple(kinks),
         support_lo=y - u2, support_hi=y + u2)
     return -math.log(ay) * complex(g.evaluate(ay)) + _g_real_apply(phi)
+
+
+def w_field(g: TestFunction, place: Place, y) -> complex:
+    """Pointwise local term W_nu(g; y) = -log|y| g_nu(y) + (G_nu * g_nu)(y).
+
+    Real place: y is a nonzero real.  Prime place: y is given by its
+    valuation, an integer v with |y|_p = p^-v (the value depends on |y|
+    only); a non-integral v is a DomainError.  At |y| = 1 the term reduces
+    to W_nu(g).
+    """
+    if place.is_real:
+        return w_field_real(g, float(y))
+    return w_field_prime(g, place.p, y)
+
+
+def haran_term(g: TestFunction, place: Place) -> complex:
+    """The local explicit-formula term as the additive convolution (G * g_nu)(1).
+
+    This is w_field at |y| = 1, where the -log|y| term vanishes: exact shell
+    sums at a prime place (any test-function kind), regularized quadrature
+    at the real place (smooth kinds only).
+    """
+    return w_field(g, place, 1.0 if place.is_real else 0)
 
 
 # ----------------------------------------------------------------------------
@@ -716,7 +689,7 @@ def mellin_fourier_check(g: TestFunction, place: Place, x, tol: float = 1e-6):
         direct = _fourier_radial_real(g, ax)
         logx = math.log(ax)
     else:
-        v = int(x)
+        v = _valuation(x)
         direct = _fourier_radial_prime(g, place.p, v)
         logx = -v * math.log(place.p)
     weight_osc = abs(logx) + (math.log(place.p) if not place.is_real else 1.0)

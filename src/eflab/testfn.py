@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -483,16 +484,21 @@ def autocorrelate(g: TestFunction, spacing: float = CONV_SPACING) -> TestFunctio
     return mconvolve(g, g.conj_reflect(), spacing=spacing)
 
 
+#: log of the largest float: a support edge e^x needs |x| below it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _STEP_RE = re.compile(r"^step:X=([^,+]+)$")
 _FIELD_RE = re.compile(r"^(mu|sigma|amp)=([^=,+]+)$")
 
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        return float(text)
+        x = float(text)
     except ValueError:
         raise ParseError(f"bad float {text!r} for {what} "
                          "(note: write exponents without '+', e.g. 1e-3)") from None
+    if not math.isfinite(x):
+        raise ParseError(f"{what} must be finite, got {text!r}")
+    return x
 
 
 def parse_test_function(text: str) -> TestFunction:
@@ -532,7 +538,11 @@ def parse_test_function(text: str) -> TestFunction:
             fields[key] = _parse_float(val, key)
         if "mu" not in fields or "sigma" not in fields:
             raise ParseError("bump term needs both mu and sigma")
-        if not fields["sigma"] > 0.0:
-            raise ParseError(f"bump sigma must be positive, got {fields['sigma']}")
-        terms.append(BumpTerm(complex(fields.get("amp", 1.0)), fields["mu"], fields["sigma"]))
+        mu, sigma = fields["mu"], fields["sigma"]
+        if not sigma > 0.0:
+            raise ParseError(f"bump sigma must be positive, got {sigma}")
+        if not abs(mu) + sigma < _LOG_FLOAT_MAX:
+            raise ParseError(f"bump support edges e^(mu -+ sigma) leave the float range "
+                             f"for mu={mu}, sigma={sigma}")
+        terms.append(BumpTerm(complex(fields.get("amp", 1.0)), mu, sigma))
     return BumpCombination(tuple(terms))

@@ -9,7 +9,8 @@ with the local terms computed by every equivalent route:
   prime place p
     direct       log p sum_k g(p^k) + log p sum_k p^-k g(p^-k)
     contour      (1/2 pi i) int_{Re s = c} Lambda_p(s) ghat(s) ds
-    convolution  additive-convolution shell sums (G * g_p)(1), exact
+    convolution  (G * g_p)(1), the field term W_p(g; y) at |y| = 1: the
+                 |y - t| shell table with G applied by padic.g_apply, exact
 
   real place
     finite       V_r(g) + V_r(g^tau), V_r(g) = (log pi + gamma)/2 g(1)
@@ -20,11 +21,15 @@ with the local terms computed by every equivalent route:
     pf           (log 2 pi + gamma) g(1) + finite-part integrals over the
                  multiplicative group, rewritten exactly via y = 1/x
     contour      Lambda_r version of the vertical-line integral
-    convolution  (G_r * g_r)(1) by regularized quadrature
+    convolution  (G_r * g_r)(1), the field term W_r(g; y) at y = 1, by
+                 regularized quadrature
 
 plus the step-function closed form
     W_r(step X) = (log pi + gamma)/2 + log X + (1/2) log(1 - X^-2),
 the only route admissible for the discontinuous kind.
+
+local_term is the one table from a (place, method) pair to its route; the
+per-place reports and the command line both go through it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .contour import VerticalLineIntegrator
 from .errors import AdmissibilityError, CertificationError, DomainError
-from .padic import haran_term, w_field_prime, w_field_real
+from .padic import haran_term, w_field  # noqa: F401  (w_field is re-exported)
 from .quadrature import panel_nodes
 from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, lambda_factor
 from .testfn import StepFunction, TestFunction, autocorrelate
@@ -221,16 +226,23 @@ def w_r(g: TestFunction, form: str = "finite") -> complex:
     return haran_term(g, Place.real())  # convolution
 
 
-def w_field(g: TestFunction, place: Place, y) -> complex:
-    """Pointwise local term W_nu(g; y) = -log|y| g_nu(y) + (G_nu * g_nu)(y).
+def local_term(g: TestFunction, place: Place, method: str) -> complex:
+    """W_nu(g) by one named route: a W_R_FORMS form at the real place, a
+    PRIME_METHODS method at a prime.  Raises AdmissibilityError when the
+    route does not admit g's kind.
 
-    Real place: y is a nonzero real.  Prime place: y is given by its
-    valuation (an integer v with |y|_p = p^-v); the value depends on |y| only.
-    At |y| = 1 the term reduces to W_nu(g).
+    The routes are looked up as module attributes at call time, so a wrapper
+    installed on w_r, w_p, w_p_contour or haran_term sees every call.
     """
     if place.is_real:
-        return w_field_real(g, float(y))
-    return w_field_prime(g, place.p, int(y))
+        return w_r(g, method)
+    if method == "direct":
+        return w_p(g, place.p)
+    if method == "contour":
+        return w_p_contour(g, place.p)
+    if method == "convolution":
+        return haran_term(g, place)
+    raise DomainError(f"unknown prime-place method {method!r}; expected one of {PRIME_METHODS}")
 
 
 # ----------------------------------------------------------------------------
@@ -273,20 +285,11 @@ def place_term_report(g: TestFunction, place: Place) -> PlaceTermReport:
     """All admissible methods at one place; no admissible method is omitted."""
     values: list[tuple[str, complex]] = []
     inadmissible: list[str] = []
-    if place.is_real:
-        for form in W_R_FORMS:
-            try:
-                values.append((form, w_r(g, form)))
-            except AdmissibilityError:
-                inadmissible.append(form)
-    else:
-        p = place.p
-        values.append(("direct", w_p(g, p)))
-        if g.is_smooth:
-            values.append(("contour", w_p_contour(g, p)))
-        else:
-            inadmissible.append("contour")
-        values.append(("convolution", haran_term(g, place)))
+    for method in W_R_FORMS if place.is_real else PRIME_METHODS:
+        try:
+            values.append((method, local_term(g, place, method)))
+        except AdmissibilityError:
+            inadmissible.append(method)
     vs = [v for _, v in values]
     spread = max((abs(x - y) for x in vs for y in vs), default=0.0)
     return PlaceTermReport(place.label, tuple(values), tuple(inadmissible), spread)
@@ -395,9 +398,8 @@ def reciprocal_zero_sum_modulus(zeros: ZeroTable) -> float:
     """sum over table zeros rho = 1/2 +- i gamma of 1/|rho|^2; equals the
     reciprocal partial sum exactly because the table zeros are on the line."""
     _require_certified(zeros)
-    vals = [1.0 / abs(complex(0.5, sgn * g)) ** 2
-            for g in zeros.ordinates for sgn in (1.0, -1.0)]
-    return float(sum(vals))
+    gam = zeros.ordinates
+    return float(np.sum(np.abs(0.5 + 1j * np.concatenate([gam, -gam])) ** -2.0))
 
 
 def positivity_q(g: TestFunction, zeros: ZeroTable) -> tuple[float, float]:
@@ -459,33 +461,30 @@ def log_abs_places(q) -> list[tuple[str, float]]:
     return rows
 
 
-def symmetry_shift(g: TestFunction, q, zeros: ZeroTable | None = None,
-                   residual_atol: float = 1e-10) -> complex:
+#: How far the explicit-formula residual may move under a rational shift.
+SHIFT_RESIDUAL_ATOL = 1e-10
+
+
+def symmetry_shift(g: TestFunction, q, zeros: ZeroTable | None = None) -> complex:
     """Total shift sum_nu log|q|_nu * g(1) over the places where it is nonzero.
 
     The product formula makes the total vanish; when a certified table is
     supplied, the explicit-formula check is rerun with the shifted local
-    terms and the residual is asserted unchanged within residual_atol.
+    terms and the residual is asserted unchanged within SHIFT_RESIDUAL_ATOL.
     """
-    rows = log_abs_places(q)
-    g1 = complex(g.evaluate(1.0))
-    total = g1 * sum(v for _, v in rows)
+    total = complex(g.evaluate(1.0)) * sum(v for _, v in log_abs_places(q))
     if zeros is not None:
-        base = explicit_formula_check(g, zeros)
-        shifted_prime = base.prime_side + g1 * sum(v for _, v in rows)
-        shifted_residual = base.zero_side - shifted_prime
-        if abs(shifted_residual - base.residual) > residual_atol:
+        delta = shifted_residual_delta(g, q, zeros)
+        if delta > SHIFT_RESIDUAL_ATOL:
             raise DomainError(
-                f"shifted-term residual moved by {abs(shifted_residual - base.residual):.3e}"
-                f" > {residual_atol}")
+                f"shifted-term residual moved by {delta:.3e} > {SHIFT_RESIDUAL_ATOL}")
     return total
 
 
 def shifted_residual_delta(g: TestFunction, q, zeros: ZeroTable) -> float:
     """|residual(shifted terms) - residual| for the rational shift q."""
     base = explicit_formula_check(g, zeros)
-    g1 = complex(g.evaluate(1.0))
-    shift = g1 * sum(v for _, v in log_abs_places(q))
+    shift = symmetry_shift(g, q)
     return abs((base.zero_side - (base.prime_side + shift)) - base.residual)
 
 

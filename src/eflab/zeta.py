@@ -20,7 +20,6 @@ every value the scan and the bisection compare is computed sample by sample.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -350,9 +349,7 @@ def read_zero_table(src, certify: bool = True) -> ZeroTable:
 
 
 def zero_table_to_string(table: ZeroTable) -> str:
-    buf = io.StringIO()
-    write_zero_table(table, buf)
-    return buf.getvalue()
+    return _format_zero_table(table)
 
 
 # ----------------------------------------------------------------------------

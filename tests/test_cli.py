@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from eflab import padic
+from eflab import padic, weil
 from eflab.cli import main
 from eflab.zeta import write_zero_table
 
@@ -131,6 +131,30 @@ class TestWeilCommand:
                                 "--testfn", "step:X=4"])
         assert code == 1 and "place must be 'r' or a prime" in err
 
+    @pytest.mark.parametrize("place,form,literal", [
+        ("2", "all", "bump:mu=0,sigma=inf"),
+        ("2", "all", "bump:mu=1e308,sigma=1e308"),
+        ("r", "finite", "bump:mu=0,sigma=inf"),
+        ("r", "all", "bump:mu=0,sigma=1,amp=nan"),
+        ("2", "all", "bump:mu=nan,sigma=1"),
+        ("2", "all", "bump:mu=705,sigma=5"),
+        ("r", "finite", "step:X=inf"),
+    ])
+    def test_non_finite_literal_exits_one(self, place, form, literal):
+        code, out, err = run_cli(["weil", "--place", place, "--form", form,
+                                  "--testfn", literal])
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("place,methods", [("r", weil.W_R_FORMS),
+                                               ("2", weil.PRIME_METHODS)])
+    def test_single_form_matches_all_row(self, place, methods):
+        argv = ["weil", "--place", place, "--testfn", "bump:mu=0.7,sigma=0.6"]
+        _, out_all, _ = run_cli(argv + ["--form", "all"])
+        rows = {ln.split(",")[1]: ln for ln in out_all.splitlines()[1:]}
+        for method in methods:
+            code, out, _ = run_cli(argv + ["--form", method])
+            assert code == 0 and out.splitlines()[1] == rows[method], method
+
     def test_determinism(self):
         argv = ["weil", "--place", "r", "--form", "all",
                 "--testfn", "bump:mu=0.2,sigma=0.4"]
@@ -161,6 +185,11 @@ class TestConductorCommand:
         assert code == 0
         row = [ln for ln in out.split("\n") if ln.startswith("commutation_defect")][0]
         assert float(row.split(",")[2]) <= 1e-9
+
+    @pytest.mark.parametrize("p,n,message", [(4, 2, "not a prime"), (2, 0, "n >= 1")])
+    def test_bad_level_exits_one(self, p, n, message):
+        code, out, err = run_cli(["conductor", "--p", str(p), "--n", str(n)])
+        assert code == 1 and out == "" and err.startswith("error:") and message in err
 
     def test_size_cap(self):
         code, _, err = run_cli(["conductor", "--p", "3", "--n", "8"])

@@ -476,6 +476,30 @@ class TestWFieldPrimeShellSums:
                 shell = w_field_prime(G0, p, v)
                 assert abs(shell - contour) <= 1e-6, (p, v)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_inversion_identity(self, p):
+        # W_p(g; y) = |y|^-1 W_p(g^tau; 1/y), with |y| = p^-v
+        for g in CORPUS + (StepFunction(10.0),):
+            for v in range(-3, 4):
+                lhs = w_field_prime(g, p, v)
+                rhs = float(p) ** v * w_field_prime(g.transpose(), p, -v)
+                assert abs(lhs - rhs) <= 1e-13, (p, v)
+
+    def test_valuation_far_below_the_support(self):
+        # every shell between the support and |y| is zero, so the value no
+        # longer depends on |y| once |y| is below the support
+        assert w_field_prime(G0, 2, 10**7) == w_field_prime(G0, 2, 50)
+
+    @pytest.mark.parametrize("v", [1.5, -0.25, float("nan"), float("inf"), "1"])
+    def test_non_integral_valuation_rejected(self, v):
+        with pytest.raises(DomainError, match="valuation"):
+            weil.w_field(G0, Place.prime(2), v)
+        with pytest.raises(DomainError, match="valuation"):
+            mellin_fourier_check(G0, Place.prime(2), v)
+
+    def test_integral_float_valuation_accepted(self):
+        assert weil.w_field(G0, Place.prime(2), 1.0) == w_field_prime(G0, 2, 1)
+
 
 class TestLevelCsv:
     def test_shape(self):

@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eflab.errors import AdmissibilityError, DomainError, ParseError
@@ -268,6 +270,11 @@ class TestAutocorrelate:
         assert abs(h.mellin(s) - expected) <= 1e-9
 
 
+#: A literal field: any float, written as the grammar allows (no '+'), or any text.
+_LITERAL_FIELD = st.one_of(
+    st.floats().map(lambda x: repr(x).replace("e+", "e")), st.text(max_size=8))
+
+
 class TestParse:
     def test_single_bump(self):
         g = parse_test_function("bump:mu=0.7,sigma=0.6")
@@ -287,7 +294,23 @@ class TestParse:
         "bump:mu=0.7", "bump:sigma=0.5", "bump:mu=a,sigma=0.5",
         "step:X=0.5", "step:Y=4", "blob:mu=0,sigma=1",
         "bump:mu=0,sigma=-1", "bump:mu=0,sigma=0.5,amp=1,amp=2", "",
+        "bump:mu=0,sigma=inf", "bump:mu=1e308,sigma=1e308", "bump:mu=0,sigma=1,amp=nan",
+        "bump:mu=nan,sigma=1", "bump:mu=705,sigma=5", "step:X=inf",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(ParseError):
             parse_test_function(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.builds("step:X={}".format, _LITERAL_FIELD),
+        st.builds("bump:mu={},sigma={},amp={}".format,
+                  _LITERAL_FIELD, _LITERAL_FIELD, _LITERAL_FIELD)))
+    def test_fuzzed_literal_parses_or_raises_parse_error(self, text):
+        try:
+            g = parse_test_function(text)
+        except ParseError:
+            return
+        a, b = g.support_log()
+        assert math.isfinite(math.exp(-a)) and math.isfinite(math.exp(b))

@@ -282,6 +282,10 @@ class TestSymmetryShift:
 
 
 class TestReports:
+    def test_local_term_unknown_prime_method(self):
+        with pytest.raises(DomainError, match="prime-place method"):
+            weil.local_term(G0, Place.prime(2), "pf")
+
     def test_place_report_real_smooth(self):
         rep = weil.place_term_report(G0, Place.real())
         assert [m for m, _ in rep.values] == list(weil.W_R_FORMS)
