@@ -94,7 +94,7 @@ def _cmd_weil(args) -> int:
     if args.form == "all":
         rep = weil.place_term_report(g, place)
         _emit(weil.rows_to_csv(weil.place_report_rows(rep, tol=args.tol)), args.out)
-        if args.tol is not None and rep.spread > args.tol:
+        if rep.not_converged or (args.tol is not None and rep.spread > args.tol):
             return 2
         return 0
     if args.form not in known:

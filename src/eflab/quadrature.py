@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 _MAX_PANEL_NODES = 6000
 
 
@@ -65,13 +67,20 @@ def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0,
     bs = np.unique(np.asarray(breakpoints, dtype=float))
     if bs.size < 2:
         return np.empty(0), np.empty(0)
+    lengths = np.diff(bs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wanted = density * lengths + osc * lengths / 3.5
+    bad = np.flatnonzero(~np.isfinite(wanted))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"quadrature panel [{bs[i]:.6g}, {bs[i + 1]:.6g}] "
+                          f"needs a non-finite number of nodes")
     xs = []
     ws = []
-    for a, b in zip(bs[:-1], bs[1:]):
-        length = b - a
+    for a, b, length, want in zip(bs[:-1], bs[1:], lengths, wanted):
         if length <= 1e-14:
             continue
-        n = int(np.ceil(density * length + osc * length / 3.5)) + 16
+        n = int(np.ceil(want)) + 16
         n = max(min_nodes, min(n, _MAX_PANEL_NODES))
         n = ((n + 7) // 8) * 8  # quantize for rule-cache reuse
         x0, w0 = _gl_rule(n)

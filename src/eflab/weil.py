@@ -41,7 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .contour import VerticalLineIntegrator
-from .errors import AdmissibilityError, CertificationError, DomainError
+from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
+                     DomainError)
 from .padic import haran_term, w_field  # noqa: F401  (w_field is re-exported)
 from .quadrature import panel_nodes
 from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, lambda_factor
@@ -113,7 +114,8 @@ def _v_r_finite(g: TestFunction) -> complex:
     x, w = panel_nodes([0.0] + inner + [b], density=96.0)
     F = np.asarray(g.profile(x), dtype=complex)
     ratio = np.where(np.abs(x) < 1e-4, f1 + 0.5 * x * f2, (F - f0) / x)
-    total += complex(np.sum(w * ratio * (x / np.expm1(2.0 * x))))
+    with np.errstate(over="ignore"):  # x / expm1(2x) is 0 where expm1 overflows
+        total += complex(np.sum(w * ratio * (x / np.expm1(2.0 * x))))
     if f0 != 0:
         total += -f0 * (-0.5) * math.log1p(-math.exp(-2.0 * b))  # exact tail of -g(1)/(t^2-1)
     return total
@@ -273,26 +275,36 @@ def prime_places(g: TestFunction) -> list[int]:
 
 @dataclass(frozen=True)
 class PlaceTermReport:
-    """Per-place local term by every admissible method, with the spread."""
+    """Per-place local term by every admissible method, with the spread over
+    the methods that converged."""
 
     place_label: str
     values: tuple[tuple[str, complex], ...]
     inadmissible: tuple[str, ...]
+    not_converged: tuple[str, ...]
     spread: float
 
 
 def place_term_report(g: TestFunction, place: Place) -> PlaceTermReport:
-    """All admissible methods at one place; no admissible method is omitted."""
+    """All admissible methods at one place; no admissible method is omitted.
+
+    A method that raises ConvergenceError is filed as not converged; the
+    other methods still report.
+    """
     values: list[tuple[str, complex]] = []
     inadmissible: list[str] = []
+    not_converged: list[str] = []
     for method in W_R_FORMS if place.is_real else PRIME_METHODS:
         try:
             values.append((method, local_term(g, place, method)))
         except AdmissibilityError:
             inadmissible.append(method)
+        except ConvergenceError:
+            not_converged.append(method)
     vs = [v for _, v in values]
     spread = max((abs(x - y) for x in vs for y in vs), default=0.0)
-    return PlaceTermReport(place.label, tuple(values), tuple(inadmissible), spread)
+    return PlaceTermReport(place.label, tuple(values), tuple(inadmissible),
+                           tuple(not_converged), spread)
 
 
 # ----------------------------------------------------------------------------
@@ -526,6 +538,8 @@ def place_report_rows(rep: PlaceTermReport, tol: float | None = None):
         rows.append((f"w_{rep.place_label}", method, val.real, val.imag, None, "ok"))
     for method in rep.inadmissible:
         rows.append((f"w_{rep.place_label}", method, 0.0, 0.0, None, "inadmissible"))
+    for method in rep.not_converged:
+        rows.append((f"w_{rep.place_label}", method, 0.0, 0.0, None, "not_converged"))
     status = ""
     if tol is not None:
         status = "ok" if rep.spread <= tol else "fail"

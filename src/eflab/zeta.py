@@ -8,14 +8,26 @@ sign changes of the Hardy function Z(t) = e^{i theta(t)} zeta(1/2 + it) and
 certified against the counting formula N(t) = theta(t)/pi + 1 + S(t), with
 S tracked by phase continuity along the critical line.
 
-The phase track samples zeta(1/2 + it) every 0.01 from t = 6, about 1e5
-samples up to t = 1000.  On that uniform grid the Dirichlet phases factor,
-n^(-i(t_c + (jB + k)h)) = n^(-i(t_c + jBh)) n^(-ikh), so each chunk of samples
-is one matrix product (_zeta_line_grid; the multi-evaluation idea of
-Odlyzko-Schoenhage in its simplest form).  It differs from the direct sum by
-at most 2.9e-12 on the tracks up to t = 1000, far inside the 0.25 band the
-count is rounded with.  Ordinates are still located with the direct kernel:
-every value the scan and the bisection compare is computed sample by sample.
+The direct kernel (_zeta_line_many, _hardy_z_many) sums the O(t) Dirichlet
+terms sample by sample.  Two cheaper kernels share its Euler-Maclaurin tail
+(the multi-evaluation idea of Odlyzko-Schoenhage in its simplest form):
+
+* On a uniform grid the Dirichlet phases factor,
+  n^(-i(t_c + (jB + k)h)) = n^(-i(t_c + jBh)) n^(-ikh), so each chunk of
+  samples is one matrix product (_zeta_line_grid).  It serves the phase track
+  of zero_count (every 0.01 from t = 6; within 2.9e-12 of the direct sum up
+  to t = 1000, far inside the 0.25 band the count is rounded with) and the
+  sign-change scan of find_zeros.
+* Around each bracket centre c the Dirichlet sum is a power series in
+  -i(t - c) whose coefficients, the moments sum_n n^(-1/2-ic) (log n)^m / m!,
+  come from one matrix product for all brackets (_bracket_moments); each
+  bisection pass is then a Horner evaluation.
+
+Every sign find_zeros acts on is the direct kernel's sign: a fast Z closer
+than _SIGN_MARGIN = 1e-9 to zero is replaced by the direct value
+(_certified_z).  The fast Z of the scan and of the bisection differ from the
+direct Z by at most 2.4e-12 up to t = 1000, about 400 times less than the
+margin, so zero tables are byte for byte those of the direct kernel.
 """
 
 from __future__ import annotations
@@ -42,6 +54,10 @@ _TRACK_STEP = 0.01
 _TRACK_T0 = 6.0
 _LINE_CHUNK = 2048
 _GRID_BLOCK = 64
+#: A fast-kernel Z closer than this to zero gets its sign from the direct kernel.
+_SIGN_MARGIN = 1e-9
+#: Terms of the per-bracket Taylor series; _bracket_moments bounds the rest.
+_TAYLOR_TERMS = 14
 
 # B_{2k} / (2k)! for the Euler-Maclaurin tail, k = 1..12 (through B_24).
 _B2K = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
@@ -139,13 +155,65 @@ def rs_theta(t):
     return float(out[0]) if scalar else out.reshape(t0.shape)
 
 
-def _hardy_z_many(ts: np.ndarray) -> np.ndarray:
-    ta = np.abs(ts)
-    vals = _zeta_line_many(ta) * np.exp(1j * rs_theta(ta))
+def _hardy_real(zeta_vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) at t = ts >= 0 from zeta values,
+    after checking that the imaginary residue is at most 1e-9."""
+    vals = zeta_vals * np.exp(1j * rs_theta(ts))
     resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     if resid > 1e-9:
         raise DomainError(f"Hardy Z imaginary residue {resid:.3e} exceeds 1e-9")
     return vals.real
+
+
+def _hardy_z_many(ts: np.ndarray) -> np.ndarray:
+    ta = np.abs(ts)
+    return _hardy_real(_zeta_line_many(ta), ta)
+
+
+def _certified_z(ts: np.ndarray, zeta_fast: np.ndarray) -> np.ndarray:
+    """Z on an ascending array ts >= 0 from fast-kernel zeta values, with the
+    direct kernel's value wherever the fast |Z| is below _SIGN_MARGIN.
+
+    The direct values use the cut N that _zeta_line_many takes at that sample
+    of ts, and each row of the direct sum is independent of the others, so
+    they are bit for bit those of _hardy_z_many(ts).  Every other fast value
+    lies at least 1e-9 from zero, over 400 times the largest gap measured
+    between the kernels, so its sign is the direct kernel's too.
+    """
+    z = _hardy_real(zeta_fast, ts)
+    near = np.flatnonzero(np.abs(z) < _SIGN_MARGIN)
+    chunk = near // _LINE_CHUNK
+    for c in np.unique(chunk):
+        sel = near[chunk == c]
+        N = _em_terms_needed(float(ts[min((c + 1) * _LINE_CHUNK, ts.size) - 1]))
+        z[sel] = _hardy_real(_zeta_em_batch(0.5 + 1j * ts[sel], N), ts[sel])
+    return z
+
+
+def _bracket_moments(centres: np.ndarray, N: int) -> np.ndarray:
+    """mom[k, m] = sum_{n<N} n^(-1/2 - i c_k) (log n)^m / m! for m < _TAYLOR_TERMS.
+
+    Then sum_{n<N} n^(-1/2 - i(c_k + d)) = sum_m mom[k, m] (-i d)^m.  A bracket
+    is at most one scan step (0.08) wide, so |d| <= 0.04, and N <= 1166 at
+    t <= 1000; there x = |d log n| <= 0.283 and the dropped terms are at most
+    x^14/14! / (1 - x/15) < 3e-19 times sum n^(-1/2) <= 2 sqrt(N - 1) - 1 < 68.
+    """
+    logn = np.log(np.arange(1, N, dtype=float))
+    steps = np.ones((logn.size, _TAYLOR_TERMS))
+    steps[:, 1:] = logn[:, None] / np.arange(1, _TAYLOR_TERMS)
+    phases = np.exp(-np.multiply.outer(0.5 + 1j * centres, logn))
+    return phases @ np.cumprod(steps, axis=1)
+
+
+def _taylor_zeta(mom: np.ndarray, centres: np.ndarray, ts: np.ndarray,
+                 N: int) -> np.ndarray:
+    """zeta(1/2 + i ts[k]) from the moments around centres[k] and the EM tail at N."""
+    x = -1j * (ts - centres)
+    out = mom[:, -1].copy()
+    for m in range(_TAYLOR_TERMS - 2, -1, -1):
+        out = out * x + mom[:, m]
+    _add_em_tail(out, 0.5 + 1j * ts, N)
+    return out
 
 
 def hardy_z(t):
@@ -216,6 +284,38 @@ class ZeroTable:
         return len(self)
 
 
+def _scan(t_max: float, step: float):
+    """Brackets (lo, hi, Z(lo)) of the sign changes of Z on
+    arange(0.1, t_max, step) with t_max appended; the uniform part goes
+    through the grid kernel."""
+    grid = np.arange(0.1, t_max, step)
+    ts = np.append(grid, t_max)
+    fast = np.append(_zeta_line_grid(grid) if grid.size else [], _zeta_line_many(ts[-1:]))
+    zs = _certified_z(ts, fast)
+    exact = zs == 0.0
+    if exact.any():
+        ts[exact] += step * 1e-3
+        zs[exact] = _hardy_z_many(ts[exact])
+    flips = np.nonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)[0]
+    return ts[flips], ts[flips + 1], zs[flips]
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket to width <= 2e-10 and return the midpoints; Z at
+    each pass's midpoints comes from the brackets' Taylor series."""
+    centres = 0.5 * (lo + hi)
+    N = _em_terms_needed(float(np.max(hi, initial=0.0)))
+    mom = _bracket_moments(centres, N)
+    sign_lo = np.sign(zlo)
+    while float(np.max(hi - lo, initial=0.0)) > 2e-10:
+        mid = 0.5 * (lo + hi)
+        zm = _certified_z(mid, _taylor_zeta(mom, centres, mid, N))
+        right = np.sign(zm) == sign_lo
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def find_zeros(t_max: float) -> ZeroTable:
     """All ordinates <= t_max, bisected to 1e-9, count-certified.
 
@@ -227,37 +327,14 @@ def find_zeros(t_max: float) -> ZeroTable:
     if not 0.0 < t_max <= T_DESK_MAX + 1e-9:
         raise DomainError(f"find_zeros needs 0 < t_max <= {T_DESK_MAX}")
     expected = zero_count(t_max)
-
-    def scan(step: float):
-        ts = np.arange(0.1, t_max, step)
-        ts = np.append(ts, t_max)
-        zs = _hardy_z_many(ts)
-        exact = zs == 0.0
-        if exact.any():
-            ts = ts.copy()
-            ts[exact] += step * 1e-3
-            zs[exact] = _hardy_z_many(ts[exact])
-        flips = np.nonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)[0]
-        return ts[flips], ts[flips + 1], zs[flips]
-
-    lo, hi, zlo = scan(_SCAN_STEP)
+    lo, hi, zlo = _scan(t_max, _SCAN_STEP)
     if lo.size != expected:
-        lo, hi, zlo = scan(_SCAN_STEP / _SCAN_REFINE)
+        lo, hi, zlo = _scan(t_max, _SCAN_STEP / _SCAN_REFINE)
         if lo.size != expected:
             raise CertificationError(
                 f"scan found {lo.size} sign changes but the counting formula "
                 f"demands {expected} zeros below {t_max}")
-
-    lo = lo.copy()
-    hi = hi.copy()
-    sign_lo = np.sign(zlo)
-    while float(np.max(hi - lo, initial=0.0)) > 2e-10:
-        mid = 0.5 * (lo + hi)
-        zm = _hardy_z_many(mid)
-        right = np.sign(zm) == sign_lo
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return ZeroTable(0.5 * (lo + hi), t_max, ZERO_ACCURACY, certified=True)
+    return ZeroTable(_bisect(lo, hi, zlo), t_max, ZERO_ACCURACY, certified=True)
 
 
 # ----------------------------------------------------------------------------

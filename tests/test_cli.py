@@ -5,11 +5,13 @@ import io
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from eflab import padic, weil
 from eflab.cli import main
+from eflab.errors import ConvergenceError
 from eflab.zeta import write_zero_table
 
 
@@ -94,6 +96,28 @@ class TestEfCommand:
         assert "prime_side_q" in out and "zero_side_q" in out
 
 
+#: `weil --form all --testfn bump:mu=0.7,sigma=0.6` output, recorded before a
+#: route that does not converge could be filed in the report.
+CONVERGED_REPORTS = {
+    "r": ("quantity,method,value_re,value_im,tolerance,status\n"
+          "w_r,finite,0.383686303281117,0,,ok\n"
+          "w_r,series,0.383686303281117,0,,ok\n"
+          "w_r,pf,0.383686303281115,0,,ok\n"
+          "w_r,contour,0.383686303316232,-1.2418755652527e-20,,ok\n"
+          "w_r,convolution,0.383686303281115,0,,ok\n"
+          "w_r,spread,3.51170204027085e-11,0,,\n"),
+    "2": ("quantity,method,value_re,value_im,tolerance,status\n"
+          "w_2,direct,0.254961331832263,0,,ok\n"
+          "w_2,contour,0.254961331579038,-1.09874633870934e-18,,ok\n"
+          "w_2,convolution,0.254961331832263,0,,ok\n"
+          "w_2,spread,2.53225662660839e-10,0,,\n"),
+}
+
+
+def report_rows(out):
+    return {ln.split(",")[1]: ln.split(",") for ln in out.splitlines()[1:]}
+
+
 class TestWeilCommand:
     def test_step_real_place_all_forms(self):
         code, out, _ = run_cli(["weil", "--place", "r", "--form", "all",
@@ -154,6 +178,53 @@ class TestWeilCommand:
         for method in methods:
             code, out, _ = run_cli(argv + ["--form", method])
             assert code == 0 and out.splitlines()[1] == rows[method], method
+
+    @pytest.mark.parametrize("place", sorted(CONVERGED_REPORTS))
+    def test_converging_report_bytes(self, place):
+        code, out, _ = run_cli(["weil", "--place", place, "--form", "all",
+                                "--testfn", "bump:mu=0.7,sigma=0.6"])
+        assert code == 0 and out == CONVERGED_REPORTS[place]
+
+    def test_route_not_converging_keeps_the_others(self):
+        # The contour integral gives up at t = 2000; direct and convolution
+        # are exact finite sums and still report.
+        code, out, err = run_cli(["weil", "--place", "2", "--form", "all",
+                                  "--testfn", "bump:mu=100,sigma=1"])
+        assert code == 2 and err == ""
+        rows = report_rows(out)
+        assert rows["contour"][2:] == ["0", "0", "", "not_converged"]
+        direct, conv = float(rows["direct"][2]), float(rows["convolution"][2])
+        assert rows["direct"][5] == rows["convolution"][5] == "ok"
+        assert abs(direct - conv) <= 1e-12
+        assert float(rows["spread"][2]) == abs(direct - conv)
+
+    def test_not_converged_real_route_leaves_spread_to_the_rest(self, monkeypatch):
+        def gives_up(g):
+            raise ConvergenceError("vertical-line integral did not converge")
+        monkeypatch.setattr(weil, "_w_r_contour", gives_up)
+        code, out, _ = run_cli(["weil", "--place", "r", "--form", "all",
+                                "--testfn", "bump:mu=0.7,sigma=0.6"])
+        assert code == 2
+        rows = report_rows(out)
+        assert rows["contour"][2:] == ["0", "0", "", "not_converged"]
+        kept = report_rows(CONVERGED_REPORTS["r"])
+        for form in ("finite", "series", "pf", "convolution"):
+            assert rows[form] == kept[form]
+        # the four quadrature routes agree to rounding; the contour was 3.5e-11 off
+        assert float(rows["spread"][2]) <= 1e-14
+
+    def test_huge_bump_support_fails_fast(self):
+        # Support edges e^708.3 and e^709.7 are floats, but a quadrature
+        # panel between them would need infinitely many nodes.
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eflab.cli", "weil", "--place", "r",
+                               "--form", "all", "--testfn", "bump:mu=709,sigma=0.7"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: quadrature panel")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert elapsed < 5.0
 
     def test_determinism(self):
         argv = ["weil", "--place", "r", "--form", "all",

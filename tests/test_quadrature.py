@@ -1,10 +1,11 @@
-"""Gauss-Legendre rules against scipy's reference rule."""
+"""Gauss-Legendre rules against scipy's reference rule, and panel sizing."""
 
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from eflab.quadrature import _gl_rule
+from eflab.errors import DomainError
+from eflab.quadrature import _gl_rule, panel_nodes
 
 #: Every size panel_nodes builds below 1100 nodes (multiples of 8 from its
 #: 24-node minimum), plus large sizes up to the 6000-node panel cap.
@@ -35,3 +36,18 @@ def test_rule_is_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+class TestPanelNodes:
+    @pytest.mark.parametrize("breaks,kw", [
+        ((0.0, 1e300, 1e308), {}),
+        ((0.0, 1.0), {"osc": float("inf")}),
+        ((0.0, 1.0), {"density": float("nan")}),
+    ])
+    def test_non_finite_node_count_rejected(self, breaks, kw):
+        with pytest.raises(DomainError, match="non-finite number of nodes"):
+            panel_nodes(breaks, **kw)
+
+    def test_long_finite_panel_is_capped(self):
+        x, w = panel_nodes((0.0, 1e300))
+        assert x.size == 6000 and abs(w.sum() - 1e300) <= 1e288

@@ -2,6 +2,8 @@
 derivation, and multiplicative convolution."""
 
 import math
+from functools import reduce
+from operator import add
 
 import mpmath as mp
 import numpy as np
@@ -268,6 +270,42 @@ class TestAutocorrelate:
         s = 0.4 + 1j
         expected = g.mellin(s) * np.conj(g.mellin(1.0 - np.conj(s)))
         assert abs(h.mellin(s) - expected) <= 1e-9
+
+
+#: Sums of one to three bumps with complex amplitudes.  Widths start at 0.5:
+#: narrower bumps carry a larger quadrature error in derivation_D (measured
+#: 3.8e-6 at sigma = 0.1).
+_BUMPS = st.lists(
+    st.builds(bump, st.floats(-1.5, 1.5), st.floats(0.5, 1.5),
+              st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=3).map(lambda bs: reduce(add, bs))
+_STRIP = st.builds(complex, st.floats(0.0, 1.0), st.floats(-40.0, 40.0))
+
+
+class TestAlgebraProperties:
+    """Tolerances are about 50x the worst error measured over 3000 random
+    draws from the same ranges plus their corners."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BUMPS, _STRIP)
+    def test_transpose_maps_s_to_one_minus_s(self, g, s):
+        # measured <= 2.0e-15
+        assert abs(g.transpose().mellin(s) - g.mellin(1.0 - s)) <= 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BUMPS, _STRIP)
+    def test_derivation_multiplies_by_s(self, g, s):
+        # D is -u d/du on functions of u, so mellin(Dg, s) = s mellin(g, s);
+        # measured <= 6.2e-10
+        assert abs(derivation_D(g).mellin(s) - s * g.mellin(s)) <= 3e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(_BUMPS, st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8))
+    def test_autocorrelation_nonnegative_on_the_line(self, g, ts):
+        # measured |imag| <= 2.0e-15; the real part never went below 0
+        v = autocorrelate(g).mellin(0.5 + 1j * np.array(ts))
+        assert np.max(np.abs(v.imag)) <= 1e-13
+        assert np.min(v.real) >= -1e-12
 
 
 #: A literal field: any float, written as the grammar allows (no '+'), or any text.

@@ -1,6 +1,7 @@
 """Zeta evaluation, Hardy Z, zero finding with certification, prime sums,
 and the zero-table text format."""
 
+import hashlib
 import io
 import math
 from functools import lru_cache
@@ -11,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eflab import zeta
 from eflab.errors import CertificationError, DomainError, ParseError, PoleError
 from eflab.special import is_prime, log_gamma
 from eflab.weil import _primes_up_to
-from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _TRACK_STEP, _TRACK_T0,
-                        ZeroTable, VonMangoldtSieve, _em_terms_needed,
+from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _SCAN_REFINE, _SCAN_STEP,
+                        _TRACK_STEP, _TRACK_T0, ZeroTable, VonMangoldtSieve,
+                        _bracket_moments, _certified_z, _em_terms_needed,
+                        _hardy_real, _hardy_z_many, _scan, _taylor_zeta,
                         _zeta_em_batch, _zeta_line_grid, _zeta_line_many,
                         find_zeros, hardy_z, lambda_von_mangoldt, psi_sum,
                         read_zero_table, rs_theta, write_zero_table,
@@ -169,6 +173,97 @@ class TestZetaLineGrid:
     def test_short_grids(self):
         for ts in (np.array([14.0]), np.array([14.0, 14.01]), np.linspace(20.0, 21.0, 65)):
             assert np.max(np.abs(_zeta_line_grid(ts) - _zeta_line_many(ts))) <= 1e-11
+
+
+def reference_zero_table_text(t_max, step=_SCAN_STEP):
+    """find_zeros with the direct kernel at every scan sample and every
+    bisection midpoint, the locator before the fast kernels."""
+    expected = zero_count(t_max)
+
+    def scan(step):
+        ts = np.append(np.arange(0.1, t_max, step), t_max)
+        zs = _hardy_z_many(ts)
+        exact = zs == 0.0
+        if exact.any():
+            ts = ts.copy()
+            ts[exact] += step * 1e-3
+            zs[exact] = _hardy_z_many(ts[exact])
+        flips = np.nonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)[0]
+        return ts[flips], ts[flips + 1], zs[flips]
+
+    lo, hi, zlo = scan(step)
+    if lo.size != expected:
+        lo, hi, zlo = scan(step / _SCAN_REFINE)
+    assert lo.size == expected
+    sign_lo = np.sign(zlo)
+    while float(np.max(hi - lo, initial=0.0)) > 2e-10:
+        mid = 0.5 * (lo + hi)
+        right = np.sign(_hardy_z_many(mid)) == sign_lo
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return zero_table_to_string(ZeroTable(0.5 * (lo + hi), t_max, 1e-9, certified=True))
+
+
+#: sha256 of find_zeros text, recorded with the direct-kernel locator.
+TABLE_SHA256 = {
+    333.33: "a8a25d47590e04672d81b8d74b3d597f86388622325dea9afdccbc91f279594c",
+    648.91: "cbef78b682bd5c1070385afe2bdec484e19d96d62f3b206d1e4914c0f960b4be",
+    971.07: "d148d6b7d6193edbdaca9f5c08eae85ebc440c4cc3626c76762c26447d15f14f",
+    1000.0: "07305b1cc7b80e9679bb63a1287e5cd020a5f6a815af6ef52b58125290d9c3b0",
+}
+
+
+class TestLocator:
+    @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
+    def test_scan_kernel_matches_direct(self, t):
+        grid = np.arange(0.1, t, _SCAN_STEP)
+        fast = _hardy_real(_zeta_line_grid(grid), grid)
+        assert np.max(np.abs(fast - _hardy_z_many(grid))) <= 1e-11
+
+    @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
+    def test_taylor_kernel_matches_direct(self, t):
+        lo, hi, _ = _scan(t, _SCAN_STEP)
+        centres = 0.5 * (lo + hi)
+        N = _em_terms_needed(float(hi[-1]))
+        mom = _bracket_moments(centres, N)
+        rng = np.random.default_rng(int(t))
+        for _ in range(3):
+            mid = lo + rng.uniform(size=lo.size) * (hi - lo)
+            fast = _hardy_real(_taylor_zeta(mom, centres, mid, N), mid)
+            assert np.max(np.abs(fast - _hardy_z_many(mid))) <= 1e-11
+
+    def test_values_below_margin_are_the_direct_kernels(self, monkeypatch):
+        # Three chunks, the last one short: each sample keeps its chunk's cut.
+        monkeypatch.setattr(zeta, "_SIGN_MARGIN", math.inf)
+        ts = np.append(np.arange(0.1, 330.0, _SCAN_STEP), 330.0)
+        assert ts.size > 2 * _LINE_CHUNK
+        fast = np.append(_zeta_line_grid(ts[:-1]), _zeta_line_many(ts[-1:]))
+        assert np.array_equal(_certified_z(ts, fast), _hardy_z_many(ts))
+
+    @pytest.mark.parametrize("t", [14.2, 57.3, 100.0, 181.9, 250.0])
+    def test_matches_reference_loop(self, t):
+        assert zero_table_to_string(find_zeros(t)) == reference_zero_table_text(t)
+
+    @pytest.mark.parametrize("t", sorted(TABLE_SHA256))
+    def test_recorded_table_bytes(self, t):
+        text = zero_table_to_string(find_zeros(t))
+        assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[t]
+
+    def test_refined_rescan_gives_the_same_table(self, monkeypatch):
+        # The 0.08 scan separates every pair below t = 1000, so a coarse step
+        # whose refinement is 0.08 stands in for a missed close pair.
+        coarse = _SCAN_STEP * _SCAN_REFINE
+        t = 500.0
+        assert _scan(t, coarse)[0].size < zero_count(t)
+        monkeypatch.setattr(zeta, "_SCAN_STEP", coarse)
+        text = zero_table_to_string(find_zeros(t))
+        assert text == reference_zero_table_text(t, step=coarse)
+        monkeypatch.undo()
+        assert text == zero_table_to_string(find_zeros(t))
+
+    def test_forced_margin_is_the_direct_path(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_SIGN_MARGIN", math.inf)
+        assert zero_table_to_string(find_zeros(100.0)) == reference_zero_table_text(100.0)
 
 
 class TestZeroCount:
