@@ -39,6 +39,8 @@ from .testfn import TestFunction
 
 LEVEL_SIZE_MAX = 2048
 _INVERSION_SIZE_MAX = 4_000_000
+#: Largest allowed gap between the two sides of mellin_fourier_check.
+MELLIN_FOURIER_TOL = 1e-6
 
 #: Sentinel for the self-dual reference input exp(-pi x^2) at the real place.
 GAUSSIAN = "gaussian"
@@ -116,15 +118,8 @@ class LevelFunction:
     def vp(self) -> np.ndarray:
         return _vp_table(self.p, self.size)
 
-    def integral(self) -> complex:
-        return complex(self.coeffs.sum() * self.p ** (-self.n))
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2) * self.p ** (-self.n))
-
-    def inner(self, other: "LevelFunction") -> complex:
-        a, b = common_refinement(self, other)
-        return complex(np.sum(a.coeffs * np.conjugate(b.coeffs)) * a.p ** (-a.n))
 
     def refine(self, m2: int, n2: int) -> "LevelFunction":
         """Re-express at a finer level (m2 >= m, n2 >= n); exact."""
@@ -672,13 +667,13 @@ def _fourier_radial_prime(g: TestFunction, p: int, x_valuation: int) -> complex:
     return total
 
 
-def mellin_fourier_check(g: TestFunction, place: Place, x, tol: float = 1e-6):
+def mellin_fourier_check(g: TestFunction, place: Place, x):
     """Both sides of F^{-1}(g_nu)(x) = (1/2 pi i) int ghat(s) |x|^{s-1}/Gamma_nu(s) ds.
 
     Returns (line_value, direct_value) computed independently (vertical-line
     quadrature at c = 1/2 versus exact shell sums / cosine transform) and
-    raises if they disagree beyond tol.  At a prime place x is given by its
-    valuation; at the real place x is a nonzero float.
+    raises if they disagree beyond MELLIN_FOURIER_TOL.  At a prime place x is
+    given by its valuation; at the real place x is a nonzero float.
     """
     if not g.is_smooth:
         raise AdmissibilityError("mellin_fourier_check needs a smooth test function")
@@ -693,15 +688,15 @@ def mellin_fourier_check(g: TestFunction, place: Place, x, tol: float = 1e-6):
         direct = _fourier_radial_prime(g, place.p, v)
         logx = -v * math.log(place.p)
     weight_osc = abs(logx) + (math.log(place.p) if not place.is_real else 1.0)
-    integ = VerticalLineIntegrator(g, c=0.5, weight_osc=weight_osc)
+    integ = VerticalLineIntegrator(g, weight_osc=weight_osc)
 
     def weight(svals):
         return np.exp((svals - 1.0) * logx) / gamma_factor(place, svals)
 
-    line = integ.integrate(weight, tol=1e-10)
-    if abs(line - direct) > tol:
+    line = integ.integrate(weight)
+    if abs(line - direct) > MELLIN_FOURIER_TOL:
         raise ConvergenceError(
-            f"Mellin-Fourier bridge mismatch {abs(line - direct):.3e} > {tol}")
+            f"Mellin-Fourier bridge mismatch {abs(line - direct):.3e} > {MELLIN_FOURIER_TOL}")
     return line, direct
 
 

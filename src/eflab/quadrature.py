@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 
+_MIN_PANEL_NODES = 24
 _MAX_PANEL_NODES = 6000
 
 
@@ -56,8 +57,7 @@ def _gl_rule(n: int):
     return nodes, weights
 
 
-def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0,
-                min_nodes: int = 24):
+def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0):
     """Gauss-Legendre nodes/weights over [b_0, b_last] split at breakpoints.
 
     density: nodes per unit length for smooth non-oscillatory factors.
@@ -81,7 +81,7 @@ def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0,
         if length <= 1e-14:
             continue
         n = int(np.ceil(want)) + 16
-        n = max(min_nodes, min(n, _MAX_PANEL_NODES))
+        n = max(_MIN_PANEL_NODES, min(n, _MAX_PANEL_NODES))
         n = ((n + 7) // 8) * 8  # quantize for rule-cache reuse
         x0, w0 = _gl_rule(n)
         xs.append(0.5 * (a + b) + 0.5 * length * x0)
@@ -89,11 +89,3 @@ def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0,
     if not xs:
         return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def integrate(fn, breakpoints, density: float = 64.0, osc: float = 0.0):
-    """Integrate a vectorized callable over panels; returns a complex value."""
-    x, w = panel_nodes(breakpoints, density=density, osc=osc)
-    if x.size == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(w * fn(x)))

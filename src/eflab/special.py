@@ -36,20 +36,34 @@ TWO_PI = 2.0 * math.pi
 POLE_TOL = 1e-12
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (p, e) pairs, by trial division.
+
+    Meant for single integers, which may exceed the sieve's range (a prime
+    place read from the command line); ranges of n go through
+    zeta.VonMangoldtSieve.
+    """
+    if n < 1:
+        raise DomainError(f"factorize needs n >= 1, got {n}")
+    out = []
+    m = n
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality check by trial division (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import AdmissibilityError, DomainError, ParseError
 from .quadrature import panel_nodes
 
-#: Default log-grid spacing for sampled convolutions.
+#: Log-grid spacing of sampled convolutions.
 CONV_SPACING = 1.0 / 512.0
 
 _MELLIN_CHUNK = 512
@@ -447,19 +447,18 @@ class LogGridFunction(TestFunction):
         return LogGridFunction(self.x0, self.h, a * self.values)
 
 
-def mconvolve(f: TestFunction, k: TestFunction,
-              spacing: float = CONV_SPACING) -> TestFunction:
+def mconvolve(f: TestFunction, k: TestFunction) -> TestFunction:
     """Multiplicative convolution (f*k)(u) = int f(u/v) k(v) dv/v.
 
     Both operands must be smooth; the result is sampled on a uniform log grid
     fine enough that mellin(f*k) = mellin(f)*mellin(k) holds to ~1e-9 for
-    |Im s| <= 50 at the default spacing.
+    |Im s| <= 50 at the spacing CONV_SPACING.
     """
     if not (f.is_smooth and k.is_smooth):
         raise AdmissibilityError("mconvolve needs smooth operands; step functions are excluded")
     if f.is_zero or k.is_zero:
         return BumpCombination(())
-    h = float(spacing)
+    h = CONV_SPACING
 
     def grid_samples(g):
         a, b = g.support_log()
@@ -479,9 +478,9 @@ def mconvolve(f: TestFunction, k: TestFunction,
     return LogGridFunction((i0f + i0k + lo) * h, h, conv[lo:hi])
 
 
-def autocorrelate(g: TestFunction, spacing: float = CONV_SPACING) -> TestFunction:
+def autocorrelate(g: TestFunction) -> TestFunction:
     """h = g * g-check, so that hhat(1/2+it) = |ghat(1/2+it)|^2 >= 0 on the line."""
-    return mconvolve(g, g.conj_reflect(), spacing=spacing)
+    return mconvolve(g, g.conj_reflect())
 
 
 #: log of the largest float: a support edge e^x needs |x| below it.

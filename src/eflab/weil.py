@@ -45,7 +45,7 @@ from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
                      DomainError)
 from .padic import haran_term, w_field  # noqa: F401  (w_field is re-exported)
 from .quadrature import panel_nodes
-from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, lambda_factor
+from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, factorize, lambda_factor
 from .testfn import StepFunction, TestFunction, autocorrelate
 from .zeta import ZeroTable, _sieve_for, psi_sum
 
@@ -55,13 +55,9 @@ PRIME_METHODS = ("direct", "contour", "convolution")
 _SERIES_TERMS = 64
 
 
-def _require_prime(p: int) -> Place:
-    return Place.prime(p)
-
-
 def v_p_sum(g: TestFunction, p: int) -> complex:
     """V_p(g) = log p * sum_{k>=1} g(p^k); a finite sum on compact support."""
-    _require_prime(p)
+    Place.prime(p)  # rejects a non-prime p
     _, b = g.support_log()
     logp = math.log(p)
     k_hi = math.floor(b / logp + 1e-12)
@@ -76,14 +72,12 @@ def w_p(g: TestFunction, p: int) -> complex:
     return v_p_sum(g, p) + v_p_sum(g.transpose(), p)
 
 
-def w_p_contour(g: TestFunction, p: int, c: float = 0.5) -> complex:
-    """Prime-place term as a truncated vertical-line integral at Re s = c."""
+def w_p_contour(g: TestFunction, p: int) -> complex:
+    """Prime-place term as a truncated vertical-line integral at Re s = 1/2."""
     if not g.is_smooth:
         raise AdmissibilityError("w_p_contour needs a smooth test function")
-    if not 0.0 < c < 1.0:
-        raise DomainError("contour line must satisfy 0 < c < 1")
-    place = _require_prime(p)
-    integ = VerticalLineIntegrator(g, c=c, weight_osc=math.log(p))
+    place = Place.prime(p)
+    integ = VerticalLineIntegrator(g, weight_osc=math.log(p))
     return integ.integrate(lambda s: lambda_factor(place, s))
 
 
@@ -121,7 +115,7 @@ def _v_r_finite(g: TestFunction) -> complex:
     return total
 
 
-def _w_r_series(g: TestFunction, terms: int = _SERIES_TERMS) -> complex:
+def _w_r_series(g: TestFunction) -> complex:
     """Series route: J explicit j-terms plus the exact geometric remainder."""
     gt = g.transpose()
     f0 = complex(g.evaluate(1.0))
@@ -142,7 +136,7 @@ def _w_r_series(g: TestFunction, terms: int = _SERIES_TERMS) -> complex:
     total += complex(np.sum(w0 * (np.asarray(g.profile(x0), dtype=complex) + gt.profile(x0))))
 
     ebB = math.exp(-2.0 * B)
-    for j in range(1, terms + 1):
+    for j in range(1, _SERIES_TERMS + 1):
         cut = min(B, 4.0 / j)
         bj = sorted(set(breaks) | ({cut} if 0.0 < cut < B else set()))
         x, w = panel_nodes(bj, density=96.0)
@@ -158,10 +152,10 @@ def _w_r_series(g: TestFunction, terms: int = _SERIES_TERMS) -> complex:
     px = phi(x)
     ratio = np.where(np.abs(x) < 1e-6, 0.5 * phi1,
                      px / np.where(x == 0.0, 1.0, -np.expm1(-2.0 * x)))
-    total += complex(np.sum(w * ratio * np.exp(-2.0 * (terms + 1) * x)))
+    total += complex(np.sum(w * ratio * np.exp(-2.0 * (_SERIES_TERMS + 1) * x)))
     if f0 != 0:
         tail_all = -math.log1p(-ebB)
-        tail_head = sum(ebB**j / j for j in range(1, terms + 1))
+        tail_head = sum(ebB**j / j for j in range(1, _SERIES_TERMS + 1))
         total += -f0 * (tail_all - tail_head)
     return total
 
@@ -196,7 +190,7 @@ def _w_r_pf(g: TestFunction) -> complex:
 
 def _w_r_contour(g: TestFunction) -> complex:
     place = Place.real()
-    integ = VerticalLineIntegrator(g, c=0.5, weight_osc=1.0)
+    integ = VerticalLineIntegrator(g, weight_osc=1.0)
     return integ.integrate(lambda s: lambda_factor(place, s))
 
 
@@ -355,16 +349,18 @@ class EFReport:
     place_terms: tuple[tuple[str, complex], ...]
 
 
-def explicit_formula_check(g: TestFunction, zeros: ZeroTable,
-                           w_r_form: str = "finite") -> EFReport:
+def _prime_side_terms(g: TestFunction) -> list[tuple[str, complex]]:
+    """W_nu(g) at r (finite form) and at each support prime, in that order."""
+    return [("r", w_r(g, "finite"))] + [(str(p), w_p(g, p)) for p in prime_places(g)]
+
+
+def explicit_formula_check(g: TestFunction, zeros: ZeroTable) -> EFReport:
     """residual = zero side - sum_nu W_nu(g) over the support-determined places."""
     if not g.is_smooth:
         raise AdmissibilityError(
             "explicit_formula_check needs a smooth kind; steps go through vonmangoldt_check")
     _require_certified(zeros)
-    terms: list[tuple[str, complex]] = [("r", w_r(g, w_r_form))]
-    for p in prime_places(g):
-        terms.append((str(p), w_p(g, p)))
+    terms = _prime_side_terms(g)
     prime_side = complex(sum(v for _, v in terms))
     zside = zero_side_sum(g, zeros)
     return EFReport(zside, prime_side, zside - prime_side, zeros.t_max,
@@ -419,6 +415,10 @@ def positivity_q(g: TestFunction, zeros: ZeroTable) -> tuple[float, float]:
 
     prime_side_q = Re[ hhat(0) + hhat(1) - sum_nu W_nu(h) ]
     zero_side_q  = sum_{gamma <= t_max} (|ghat(1/2+i gamma)|^2 + |ghat(1/2-i gamma)|^2)
+
+    The local terms of h are the ones explicit_formula_check sums.  h's own
+    zero side is not formed: hhat = |ghat|^2 on the line, so zero_side_q is
+    that sum, taken on g.
     """
     if not g.is_smooth:
         raise AdmissibilityError("positivity_q needs a smooth test function")
@@ -426,9 +426,9 @@ def positivity_q(g: TestFunction, zeros: ZeroTable) -> tuple[float, float]:
     if g.is_zero:
         return 0.0, 0.0
     h = autocorrelate(g)
-    rep = explicit_formula_check(h, zeros)
+    prime_side = complex(sum(v for _, v in _prime_side_terms(h)))
     boundary = h.mellin(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
-    prime_side_q = float(np.real(boundary[0] + boundary[1] - rep.prime_side))
+    prime_side_q = float(np.real(boundary[0] + boundary[1] - prime_side))
     gam = zeros.ordinates
     if gam.size:
         vals = g.mellin(np.concatenate([0.5 + 1j * gam, 0.5 - 1j * gam]))
@@ -454,23 +454,11 @@ def _as_fraction(q) -> Fraction:
 def log_abs_places(q) -> list[tuple[str, float]]:
     """Nonzero local logs log|q|_nu, primes ascending then the real place."""
     q = _as_fraction(q)
-    merged: dict[int, float] = {}
-    for n, sign in ((abs(q.numerator), -1), (q.denominator, 1)):
-        m = n
-        f = 2
-        while f * f <= m:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            if e:
-                merged[f] = merged.get(f, 0.0) + sign * e * math.log(f)
-            f += 1
-        if m > 1:
-            merged[m] = merged.get(m, 0.0) + sign * math.log(m)
-    rows = [(str(p), v) for p, v in sorted(merged.items()) if v != 0.0]
-    rows.append(("r", math.log(abs(float(q)))))
-    return rows
+    # numerator and denominator are coprime, so each prime comes from one of them
+    primes = sorted((p, sign * e * math.log(p))
+                    for n, sign in ((abs(q.numerator), -1), (q.denominator, 1))
+                    for p, e in factorize(n))
+    return [(str(p), v) for p, v in primes] + [("r", math.log(abs(float(q))))]
 
 
 #: How far the explicit-formula residual may move under a rational shift.

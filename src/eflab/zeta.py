@@ -8,6 +8,13 @@ sign changes of the Hardy function Z(t) = e^{i theta(t)} zeta(1/2 + it) and
 certified against the counting formula N(t) = theta(t)/pi + 1 + S(t), with
 S tracked by phase continuity along the critical line.
 
+What the certification covers: on the line zeta = e^{-i theta} Z, so the
+tracked phase of zeta is -theta plus pi at each sign change of Z, and the
+rounded count is exactly the number of sign changes of Z on the 0.01 track.
+Certification therefore catches zeros that the 0.08 scan steps over, but a
+pair of zeros closer together than the track step is invisible to the count
+itself.  Turing's method would be the independent check.
+
 The direct kernel (_zeta_line_many, _hardy_z_many) sums the O(t) Dirichlet
 terms sample by sample.  Two cheaper kernels share its Euler-Maclaurin tail
 (the multi-evaluation idea of Odlyzko-Schoenhage in its simplest form):
@@ -42,7 +49,7 @@ import numpy as np
 
 from .errors import (AmbiguityError, CertificationError, DomainError,
                      ParseError, PoleError)
-from .special import LOG_PI, log_gamma
+from .special import LOG_PI, factorize, log_gamma
 
 T_DESK_MAX = 1000.0
 ZERO_ACCURACY = 1e-9
@@ -225,12 +232,16 @@ def hardy_z(t):
 
 
 def zero_count(t: float) -> int:
-    """Exact count of zeros with 0 < gamma <= t (t itself away from ordinates).
+    """Count of zeros with 0 < gamma <= t (t itself away from ordinates).
 
     Computed as the nearest integer to theta(t)/pi + 1 + S(t), where the
     argument term S is tracked by phase continuity along Re s = 1/2 from a
     base point below the first ordinate.  Raises AmbiguityError if the
     formula lands farther than 0.25 from an integer.
+
+    The tracked phase of zeta is -theta plus pi at each sign change of Z, so
+    the value is the number of sign changes of Z on the 0.01 track: it is the
+    true count unless two zeros lie closer together than one track step.
     """
     t = float(t)
     if t <= _TRACK_T0:
@@ -352,7 +363,8 @@ def _format_t_max(t_max: float) -> str:
     return short if float(short) == t_max else repr(t_max)
 
 
-def _format_zero_table(table: ZeroTable) -> str:
+def zero_table_to_string(table: ZeroTable) -> str:
+    """The zero table in the line-oriented text format."""
     lines = [f"# zeta-zeros v1 t_max={_format_t_max(table.t_max)} "
              f"accuracy={table.accuracy:.3g} count={len(table)}"]
     # 17 significant digits: exact float round trip, >= 12 as the format demands
@@ -362,7 +374,7 @@ def _format_zero_table(table: ZeroTable) -> str:
 
 def write_zero_table(table: ZeroTable, dest) -> None:
     """Write the line-oriented text format; dest is a path or text stream."""
-    text = _format_zero_table(table)
+    text = zero_table_to_string(table)
     if hasattr(dest, "write"):
         dest.write(text)
     else:
@@ -425,30 +437,13 @@ def read_zero_table(src, certify: bool = True) -> ZeroTable:
     return ZeroTable(ordinates, t_max, accuracy, certified=certify)
 
 
-def zero_table_to_string(table: ZeroTable) -> str:
-    return _format_zero_table(table)
-
-
 # ----------------------------------------------------------------------------
 # von Mangoldt side
 
 def lambda_von_mangoldt(n: int) -> float:
-    """log p if n = p^k for a prime p and k >= 1, else 0."""
-    if n < 1:
-        raise DomainError("lambda_von_mangoldt needs n >= 1")
-    if n == 1:
-        return 0.0
-    m = n
-    p = None
-    for f in range(2, int(math.isqrt(n)) + 1):
-        if m % f == 0:
-            p = f
-            break
-    if p is None:
-        return math.log(n)  # n itself prime
-    while m % p == 0:
-        m //= p
-    return math.log(p) if m == 1 else 0.0
+    """log p if n = p^k for a prime p and k >= 1, else 0; n >= 1."""
+    pairs = factorize(n)
+    return math.log(pairs[0][0]) if len(pairs) == 1 else 0.0
 
 
 @dataclass(frozen=True)

@@ -469,8 +469,7 @@ class TestWFieldPrimeShellSums:
             pl = Place.prime(p)
             for v in (-2, -1, 0, 1, 2):
                 ylog = -v * math.log(p)
-                integ = VerticalLineIntegrator(G0, 0.5,
-                                               weight_osc=math.log(p) + abs(ylog))
+                integ = VerticalLineIntegrator(G0, weight_osc=math.log(p) + abs(ylog))
                 contour = integ.integrate(
                     lambda s: lambda_factor(pl, s) * np.exp(-s * ylog))
                 shell = w_field_prime(G0, p, v)

@@ -9,7 +9,7 @@ import pytest
 
 from eflab.errors import DomainError, PoleError
 from eflab.special import (EULER_GAMMA, Place, digamma, gamma_factor,
-                           is_prime, lambda_factor, log_gamma)
+                           factorize, is_prime, lambda_factor, log_gamma)
 
 PI = math.pi
 
@@ -28,6 +28,19 @@ class TestPlace:
     def test_primality(self):
         assert [n for n in range(2, 30) if is_prime(n)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_primality_beyond_the_sieve(self):
+        # command-line places may exceed the sieve's 1e6 cap
+        assert is_prime(1000003)
+        assert not is_prime(1000001)  # 101 * 9901
+        assert not any(is_prime(n) for n in (-7, 0, 1))
+
+    def test_factorize(self):
+        assert factorize(1) == []
+        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        assert factorize(2 * 1000003) == [(2, 1), (1000003, 1)]
+        with pytest.raises(DomainError):
+            factorize(0)
 
 
 class TestLogGamma:

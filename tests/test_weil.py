@@ -15,7 +15,7 @@ from eflab.special import EULER_GAMMA, LOG_PI, Place
 from eflab.testfn import StepFunction, autocorrelate, bump
 from eflab.zeta import ZeroTable
 
-from conftest import G0
+from conftest import CORPUS, G0
 
 
 class TestPrimeSums:
@@ -254,6 +254,34 @@ class TestPositivity:
                                      zeros100)
         assert abs(pq1 - pq2) <= 1e-9 and abs(zq1 - zq2) <= 1e-12
 
+    def test_bit_identical_to_the_explicit_formula_route(self, zeros100):
+        # bit for bit the prime side that explicit_formula_check(h) reports
+        for g in CORPUS:
+            h = autocorrelate(g)
+            boundary = h.mellin(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
+            prime = weil.explicit_formula_check(h, zeros100).prime_side
+            gam = zeros100.ordinates
+            vals = g.mellin(np.concatenate([0.5 + 1j * gam, 0.5 - 1j * gam]))
+            want = (float(np.real(boundary[0] + boundary[1] - prime)),
+                    float(np.sum(np.abs(vals) ** 2)))
+            assert weil.positivity_q(g, zeros100) == want
+
+    def test_no_zero_side_of_h(self, zeros100, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("zero_side_sum", "zero_sum_tail_estimate"):
+            monkeypatch.setattr(weil, name, counted(getattr(weil, name)))
+        weil.positivity_q(G0, zeros100)
+        assert calls == []
+        weil.explicit_formula_check(G0, zeros100)  # the counters do count
+        assert calls == ["zero_side_sum", "zero_sum_tail_estimate"]
+
 
 class TestSymmetryShift:
     def test_product_formula_integers(self, zeros100):
@@ -279,6 +307,22 @@ class TestSymmetryShift:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             weil.symmetry_shift(G0, Fraction(0))
+
+    @pytest.mark.parametrize("q,want", [
+        (Fraction(-12, 35), [("2", -1.3862943611198906), ("3", -1.0986122886681098),
+                             ("5", 1.6094379124341003), ("7", 1.9459101490553132),
+                             ("r", -1.0704414117014134)]),
+        (Fraction(1024, 2187), [("2", -6.931471805599453), ("3", 7.690286020676768),
+                                ("r", -0.7588142150773147)]),
+        (Fraction(1000003, 6), [("2", 0.6931471805599453), ("3", 1.0986122886681098),
+                                ("1000003", -13.815513557959774), ("r", 12.02375408873172)]),
+        ((360, 7), [("2", -2.0794415416798357), ("3", -2.1972245773362196),
+                    ("5", -1.6094379124341003), ("7", 1.9459101490553132),
+                    ("r", 3.9401938823948424)]),
+    ])
+    def test_log_abs_places_values(self, q, want):
+        # exact values: the shared factorization must not change a bit
+        assert weil.log_abs_places(q) == want
 
 
 class TestReports:

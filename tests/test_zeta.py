@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from eflab import zeta
 from eflab.errors import CertificationError, DomainError, ParseError, PoleError
-from eflab.special import is_prime, log_gamma
+from eflab.special import factorize, is_prime, log_gamma
 from eflab.weil import _primes_up_to
 from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _SCAN_REFINE, _SCAN_STEP,
                         _TRACK_STEP, _TRACK_T0, ZeroTable, VonMangoldtSieve,
@@ -280,6 +280,14 @@ class TestZeroCount:
     def test_against_mpmath_nzeros(self, t):
         assert zero_count(t) == mp.nzeros(t)
 
+    @pytest.mark.parametrize("t", [14.2, 100.0, 500.5, 999.99])
+    def test_count_is_sign_changes_on_the_track(self, t):
+        # zeta = e^(-i theta) Z on the line, so the tracked phase is -theta
+        # plus pi per sign change of Z: the count is the track's sign changes
+        ts = track_grid(t)
+        z = _hardy_real(_zeta_line_grid(ts), ts)
+        assert zero_count(t) == int(np.sum(np.sign(z[:-1]) * np.sign(z[1:]) < 0))
+
     def test_grid_track_matches_direct_track(self):
         raw_direct = tracked_raw(300.0, _zeta_line_many)
         raw_grid = tracked_raw(300.0, _zeta_line_grid)
@@ -337,6 +345,20 @@ class TestVonMangoldt:
         # math.log and numpy's log differ in the last bit at p = 285343
         for limit in (2, 30, 1000, 65536, 10 ** 6):
             assert VonMangoldtSieve.build(limit).entries == reference_entries(limit)
+
+    def test_factorize_matches_sieve(self):
+        # single integers go through trial division, ranges through the sieve;
+        # both give the same prime powers and bit-identical logs up to 1e5
+        limit = 10 ** 5
+        sv = VonMangoldtSieve.build(limit)
+        lam = dict(sv.entries)
+        primes = set(sv.primes.tolist())
+        for n in range(1, limit + 1):
+            pairs = factorize(n)
+            assert math.prod(p ** e for p, e in pairs) == n
+            assert [p for p, _ in pairs] == sorted(p for p, _ in pairs)
+            assert lambda_von_mangoldt(n) == lam.get(n, 0.0), n
+            assert is_prime(n) == (n in primes), n
 
     def test_primes_up_to_reads_sieve(self):
         assert _primes_up_to(1) == []
