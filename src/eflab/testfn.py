@@ -123,6 +123,11 @@ class TestFunction:
     def is_zero(self) -> bool:
         return False
 
+    @property
+    def is_real(self) -> bool:
+        """True when g takes only real values, so ghat(conj s) = conj ghat(s)."""
+        raise NotImplementedError
+
     # -- pointwise evaluation --------------------------------------------------
     def evaluate(self, u):
         """g(u) for u > 0 (scalar or array), midpoint convention at step jumps."""
@@ -178,6 +183,10 @@ class BumpCombination(TestFunction):
     @property
     def is_zero(self) -> bool:
         return not self.terms or all(t.amp == 0 for t in self.terms)
+
+    @property
+    def is_real(self) -> bool:
+        return all(complex(t.amp).imag == 0 for t in self.terms)
 
     def support_log(self):
         if not self.terms:
@@ -236,6 +245,7 @@ class StepFunction(TestFunction):
     transposed: bool = False
 
     is_smooth = False
+    is_real = True
 
     def __post_init__(self):
         if not (self.X > 1.0 and math.isfinite(self.X)):
@@ -297,6 +307,10 @@ class TransposedFunction(TestFunction):
     def is_zero(self):
         return self.inner.is_zero
 
+    @property
+    def is_real(self):
+        return self.inner.is_real
+
     def support_log(self):
         a, b = self.inner.support_log()
         return (-b, -a)
@@ -340,6 +354,10 @@ class DerivedFunction(TestFunction):
     @property
     def is_zero(self):
         return self.inner.is_zero
+
+    @property
+    def is_real(self):
+        return self.inner.is_real
 
     def support_log(self):
         return self.inner.support_log()
@@ -393,6 +411,10 @@ class LogGridFunction(TestFunction):
     @property
     def is_zero(self):
         return self.values.size == 0 or not np.any(self.values)
+
+    @property
+    def is_real(self):
+        return not np.any(self.values.imag)
 
     def support_log(self):
         if self.values.size == 0:

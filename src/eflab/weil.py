@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import VerticalLineIntegrator
+from .contour import VerticalLineIntegrator, mellin_pair
 from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
                      DomainError)
 from .padic import haran_term, w_field  # noqa: F401  (w_field is re-exported)
@@ -310,16 +310,19 @@ def _require_certified(zeros: ZeroTable):
 
 
 def zero_side_sum(g: TestFunction, zeros: ZeroTable) -> complex:
-    """ghat(0) + ghat(1) - sum over paired zeros ghat(1/2 +- i gamma)."""
+    """ghat(0) + ghat(1) - sum over paired zeros ghat(1/2 +- i gamma).
+
+    Evaluated at 1/2 + i gamma only; each -gamma term is the conjugate of
+    conj(g)'s transform there, so a real g gets a zero sum with an imaginary
+    part of exactly 0.
+    """
     _require_certified(zeros)
     gam = zeros.ordinates
     boundary = g.mellin(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
     if gam.size == 0:
         return complex(boundary[0] + boundary[1])
-    s = np.concatenate([0.5 + 1j * gam, 0.5 - 1j * gam])
-    vals = g.mellin(s)
-    paired = vals[:gam.size] + vals[gam.size:]
-    return complex(boundary[0] + boundary[1] - np.sum(paired))
+    upper, lower = mellin_pair(g, 0.5 + 1j * gam)
+    return complex(boundary[0] + boundary[1] - np.sum(upper + np.conj(lower)))
 
 
 def zero_sum_tail_estimate(g: TestFunction, t_max: float) -> float:
@@ -418,7 +421,9 @@ def positivity_q(g: TestFunction, zeros: ZeroTable) -> tuple[float, float]:
 
     The local terms of h are the ones explicit_formula_check sums.  h's own
     zero side is not formed: hhat = |ghat|^2 on the line, so zero_side_q is
-    that sum, taken on g.
+    that sum, taken on g.  |ghat(1/2-i gamma)| is |gbar-hat(1/2+i gamma)|
+    with gbar = conj g, so only the upper ordinates are evaluated, and a real
+    g's two terms are one value counted twice.
     """
     if not g.is_smooth:
         raise AdmissibilityError("positivity_q needs a smooth test function")
@@ -431,8 +436,8 @@ def positivity_q(g: TestFunction, zeros: ZeroTable) -> tuple[float, float]:
     prime_side_q = float(np.real(boundary[0] + boundary[1] - prime_side))
     gam = zeros.ordinates
     if gam.size:
-        vals = g.mellin(np.concatenate([0.5 + 1j * gam, 0.5 - 1j * gam]))
-        zero_side_q = float(np.sum(np.abs(vals) ** 2))
+        upper, lower = mellin_pair(g, 0.5 + 1j * gam)
+        zero_side_q = float(np.sum(np.abs(upper) ** 2 + np.abs(lower) ** 2))
     else:
         zero_side_q = 0.0
     return prime_side_q, zero_side_q

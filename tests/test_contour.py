@@ -1,0 +1,162 @@
+"""The vertical-line integrator: t >= 0 evaluation closed by conjugation."""
+
+import math
+
+import numpy as np
+import pytest
+
+from eflab import contour, testfn, weil
+from eflab.contour import BLOCK_TOL, BLOCK_WIDTH, VerticalLineIntegrator
+from eflab.padic import mellin_fourier_check
+from eflab.quadrature import panel_nodes
+from eflab.special import Place, lambda_factor
+from eflab.testfn import bump
+
+from conftest import CORPUS, G0, random_bumps
+
+REAL_CORPUS = [g for g in CORPUS if g.is_real]
+PRIMES = (2, 3, 5, 7)
+
+
+def two_sided_integral(g, weight_fn, weight_osc):
+    """The block sum evaluated at both 1/2 + it and 1/2 - it, as a reference."""
+    a, b = g.support_log()
+    osc = max(abs(a), abs(b)) + weight_osc
+    total = 0.0 + 0.0j
+    for k in range(int(np.ceil(contour.T_CAP / BLOCK_WIDTH))):
+        t, w = panel_nodes((k * BLOCK_WIDTH, (k + 1) * BLOCK_WIDTH), density=8.0, osc=osc)
+        t = np.concatenate([-t[::-1], t])
+        w = np.concatenate([w[::-1], w])
+        s = 0.5 + 1j * t
+        contrib = np.sum(w * g.mellin(s) * weight_fn(s)) / (2.0 * np.pi)
+        total += contrib
+        if abs(contrib) < BLOCK_TOL:
+            return complex(total)
+    raise AssertionError("reference integral did not converge")
+
+
+def place_weight(place):
+    return lambda s: lambda_factor(place, s)
+
+
+def captured_mellin_fourier_weights(monkeypatch, g, points):
+    """The weight functions mellin_fourier_check hands to the integrator at
+    each (place, x) of points."""
+    weights = []
+    integrate = VerticalLineIntegrator.integrate
+
+    def recording(self, weight_fn):
+        weights.append(weight_fn)
+        return integrate(self, weight_fn)
+
+    monkeypatch.setattr(VerticalLineIntegrator, "integrate", recording)
+    for place, x in points:
+        mellin_fourier_check(g, place, x)
+    return weights
+
+
+class TestRealImaginaryPart:
+    @pytest.mark.parametrize("g", REAL_CORPUS)
+    def test_contour_routes(self, g):
+        assert weil.w_r(g, "contour").imag == 0.0
+        for p in PRIMES:
+            assert weil.w_p_contour(g, p).imag == 0.0
+
+    def test_mellin_fourier_line(self):
+        for place, xs in ((Place.prime(2), (0, -1, 1)), (Place.real(), (0.5, 40.0))):
+            for x in xs:
+                line, _ = mellin_fourier_check(G0, place, x)
+                assert line.imag == 0.0, (place.label, x)
+
+    def test_complex_amplitude_keeps_its_imaginary_part(self):
+        g = CORPUS[-1]
+        assert not g.is_real
+        assert weil.w_p_contour(g, 2).imag != 0.0
+
+
+class TestAgainstTwoSidedSum:
+    @pytest.mark.parametrize("g", CORPUS + tuple(random_bumps(5, seed=11)))
+    def test_local_weights(self, g):
+        for place, osc in [(Place.real(), 1.0)] + [(Place.prime(p), math.log(p)) for p in PRIMES]:
+            want = two_sided_integral(g, place_weight(place), osc)
+            got = VerticalLineIntegrator(g, osc).integrate(place_weight(place))
+            assert abs(got - want) <= 1e-12, place.label
+
+    def test_mellin_fourier_weight(self, monkeypatch):
+        g = CORPUS[-1]  # complex amplitude: the lower half needs conj(g)
+        (weight,) = captured_mellin_fourier_weights(monkeypatch, g, [(Place.prime(3), 1)])
+        osc = abs(-math.log(3.0)) + math.log(3.0)
+        got = VerticalLineIntegrator(g, osc).integrate(weight)
+        assert abs(got - two_sided_integral(g, weight, osc)) <= 1e-12
+
+
+class TestWeightContract:
+    """W(conj s) = conj W(s), the symmetry the conjugate closure rests on."""
+
+    S = np.array([0.5 + 0.0j, 0.5 + 3.7j, 0.5 - 41.0j, 0.5 + 977.25j,
+                  0.1 + 2.0j, 0.9 - 15.5j, 0.3 + 250.0j])
+
+    @staticmethod
+    def assert_contract(weight_fn, s):
+        w, wbar = weight_fn(s), weight_fn(np.conj(s))
+        assert np.all(np.abs(wbar - np.conj(w)) <= 1e-15 * np.abs(w))
+
+    @pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11, 13])
+    def test_lambda_factor(self, p):
+        place = Place.real() if p is None else Place.prime(p)
+        self.assert_contract(place_weight(place), self.S)
+
+    def test_mellin_fourier_weight(self, monkeypatch):
+        points = [(Place.prime(2), v) for v in (0, -1, 1)] + [(Place.real(), 0.5), (Place.real(), 3.0)]
+        weights = captured_mellin_fourier_weights(monkeypatch, G0, points)
+        assert len(weights) == 5
+        for weight in weights:
+            self.assert_contract(weight, self.S)
+
+
+class TestWork:
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"mellin": [], "panel_nodes": 0}
+        mellin = testfn.TestFunction.mellin
+
+        def counted_mellin(self, s):
+            calls["mellin"].append((self, np.array(s)))
+            return mellin(self, s)
+
+        def counted_panel_nodes(*args, **kwargs):
+            calls["panel_nodes"] += 1
+            return panel_nodes(*args, **kwargs)
+
+        monkeypatch.setattr(testfn.TestFunction, "mellin", counted_mellin)
+        monkeypatch.setattr(contour, "panel_nodes", counted_panel_nodes)
+        return calls
+
+    def test_real_bump_one_mellin_and_weight_per_block(self, monkeypatch):
+        g = bump(0.7, 0.6)
+        calls = self.count_calls(monkeypatch)
+        weight_args = []
+
+        def weight(s):
+            weight_args.append(s)
+            return lambda_factor(Place.prime(2), s)
+
+        VerticalLineIntegrator(g, math.log(2.0)).integrate(weight)
+        assert calls["panel_nodes"] == 1  # one t-rule for every block
+        blocks = calls["mellin"]
+        assert len(blocks) == len(weight_args) > 1
+        osc = 0.7 + 0.6 + math.log(2.0)
+        for k, ((fn, s), ws) in enumerate(zip(blocks, weight_args)):
+            assert fn is g and np.array_equal(s, ws)
+            # each block's nodes are its own panel rule's, bit for bit, t >= 0
+            t, _ = panel_nodes((k * BLOCK_WIDTH, (k + 1) * BLOCK_WIDTH), density=8.0, osc=osc)
+            assert np.array_equal(s.imag, t) and np.all(s.real == 0.5)
+
+    def test_complex_bump_adds_the_conjugate(self, monkeypatch):
+        g = CORPUS[-1]
+        calls = self.count_calls(monkeypatch)
+        VerticalLineIntegrator(g, 1.0).integrate(place_weight(Place.real()))
+        fns = [fn for fn, _ in calls["mellin"]]
+        assert fns[0::2] == [g] * (len(fns) // 2)
+        assert fns[1::2] == [g.conjugate()] * (len(fns) // 2)
+        assert all(np.all(s.imag >= 0.0) for _, s in calls["mellin"])

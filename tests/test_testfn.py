@@ -145,6 +145,21 @@ class TestConjReflect:
         back = g.conj_reflect().conj_reflect()
         assert np.max(np.abs(back.evaluate(u) - g.evaluate(u))) == 0.0
 
+    def test_is_real_every_kind(self):
+        z = bump(0.1, 0.4, amp=2 - 1j)
+        for g, real in ((G0, True), (z, False), (G0 + z, False), (BumpCombination(()), True),
+                        (StepFunction(3.0), True), (StepFunction(3.0).transpose(), True),
+                        (G0.transpose(), True), (z.transpose(), False),
+                        (derivation_D(G0), True), (derivation_D(z), False),
+                        (autocorrelate(G0), True), (mconvolve(G0, z), False),
+                        (z.conj_reflect(), False)):
+            assert g.is_real is real, g
+            # a real g's transform is conjugate-symmetric
+            if real and not g.is_zero:
+                s = np.array([0.5 + 3.0j, 0.25 + 17.5j])
+                want = np.conj(g.mellin(s))
+                assert np.all(np.abs(g.mellin(np.conj(s)) - want) <= 1e-15 * np.abs(want))
+
 
 class TestDerivation:
     def test_mellin_at_zero_and_one(self):

@@ -261,10 +261,16 @@ class TestPositivity:
             boundary = h.mellin(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
             prime = weil.explicit_formula_check(h, zeros100).prime_side
             gam = zeros100.ordinates
-            vals = g.mellin(np.concatenate([0.5 + 1j * gam, 0.5 - 1j * gam]))
+            upper = g.mellin(0.5 + 1j * gam)
+            lower = g.conjugate().mellin(0.5 + 1j * gam)
             want = (float(np.real(boundary[0] + boundary[1] - prime)),
-                    float(np.sum(np.abs(vals) ** 2)))
-            assert weil.positivity_q(g, zeros100) == want
+                    float(np.sum(np.abs(upper) ** 2 + np.abs(lower) ** 2)))
+            got = weil.positivity_q(g, zeros100)
+            assert got == want
+            # the two-sided sum it replaces, evaluated at -gamma directly
+            vals = g.mellin(np.concatenate([0.5 + 1j * gam, 0.5 - 1j * gam]))
+            two_sided = float(np.sum(np.abs(vals) ** 2))
+            assert abs(got[1] - two_sided) <= 1e-12 * two_sided
 
     def test_no_zero_side_of_h(self, zeros100, monkeypatch):
         calls = []
