@@ -33,6 +33,17 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
@@ -155,13 +166,13 @@ def build_parser() -> _Parser:
     ec = esub.add_parser("check")
     ec.add_argument("--testfn", required=True)
     ec.add_argument("--zeros", required=True)
-    ec.add_argument("--tol", type=float, default=1e-4)
+    ec.add_argument("--tol", type=_tolerance, default=1e-4)
     ec.add_argument("--out", default=None)
     ec.set_defaults(func=_cmd_ef)
     ev = esub.add_parser("vonmangoldt")
     ev.add_argument("--X", type=float, required=True)
     ev.add_argument("--zeros", required=True)
-    ev.add_argument("--tol", type=float, default=0.1)
+    ev.add_argument("--tol", type=_tolerance, default=0.1)
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=_cmd_ef)
     eq = esub.add_parser("positivity")
@@ -174,7 +185,7 @@ def build_parser() -> _Parser:
     wp.add_argument("--place", required=True)
     wp.add_argument("--form", default="all")
     wp.add_argument("--testfn", required=True)
-    wp.add_argument("--tol", type=float, default=None)
+    wp.add_argument("--tol", type=_tolerance, default=None)
     wp.add_argument("--out", default=None)
     wp.set_defaults(func=_cmd_weil)
 

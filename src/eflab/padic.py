@@ -140,16 +140,13 @@ class LevelFunction:
         return LevelFunction(p, m2, n2, out)
 
 
-def common_refinement(a: LevelFunction, b: LevelFunction):
+def level_distance(a: LevelFunction, b: LevelFunction) -> float:
+    """Weighted L2 distance, taken at the common refinement of both levels."""
     if a.p != b.p:
         raise DomainError("level functions live over different primes")
     m, n = max(a.m, b.m), max(a.n, b.n)
-    return a.refine(m, n), b.refine(m, n)
-
-
-def level_distance(a: LevelFunction, b: LevelFunction) -> float:
-    ra, rb = common_refinement(a, b)
-    return math.sqrt(float(np.sum(np.abs(ra.coeffs - rb.coeffs) ** 2) * ra.p ** (-ra.n)))
+    diff = a.refine(m, n).coeffs - b.refine(m, n).coeffs
+    return math.sqrt(float(np.sum(np.abs(diff) ** 2) * a.p ** (-n)))
 
 
 def fourier_level(phi: LevelFunction) -> LevelFunction:
@@ -303,15 +300,11 @@ def closed_form_spectrum(p: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConductorMatrix:
-    """H compressed to the cuspidal space V(p, n) in an orthonormal basis.
-
-    basis holds the basis vectors as the rows of a real (dim, p^n) array.
-    """
+    """H compressed to the cuspidal space V(p, n) in an orthonormal basis."""
 
     p: int
     n: int
     matrix: np.ndarray
-    basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -332,7 +325,7 @@ def conductor_matrix(p: int, n: int) -> ConductorMatrix:
     defect = float(np.max(np.abs(M - M.T), initial=0.0))
     if defect > 1e-12:
         raise RuntimeError(f"conductor matrix Hermiticity defect {defect:.2e} > 1e-12")
-    return ConductorMatrix(p, n, 0.5 * (M + M.T), E)
+    return ConductorMatrix(p, n, 0.5 * (M + M.T))
 
 
 def cuspidal_spectrum(p: int, n: int) -> np.ndarray:
@@ -349,42 +342,39 @@ def inversion(phi: LevelFunction) -> LevelFunction:
     The output lives at the analytically sufficient level: a shell of
     valuation k (constant mod p^n on the input side) maps to valuation -k
     with constancy modulus n - 2k; the output level takes the finest modulus
-    over the occupied shells.  Exactness is re-verified at construction by a
-    second coset representative per output coset.
+    over the occupied shells.  Output coset p^v u (u a unit) holds p^-k u,
+    k = m_out - v, so one gather reads input coset p^(m+k) u^-1 and scales
+    it by p^-k.  Exactness is re-verified at construction by a second coset
+    representative per output coset.
     """
     p, m, n = phi.p, phi.m, phi.n
-    scale = _admissibility_scale(phi)
-    if abs(phi.coeffs[0]) > 1e-12 * scale:
+    if abs(phi.coeffs[0]) > 1e-12 * _admissibility_scale(phi):
         raise AdmissibilityError("inversion: support must avoid the coset of 0")
-    vp = phi.vp
-    occupied = sorted({int(vp[j]) - m for j in range(1, phi.size)
-                       if phi.coeffs[j] != 0})
-    if not occupied:
+    occupied = np.flatnonzero(np.bincount(phi.vp[1:][phi.coeffs[1:] != 0])) - m
+    if not occupied.size:
         return LevelFunction(p, 0, 1, np.zeros(p, dtype=complex))
-    k_min, k_max = occupied[0], occupied[-1]
+    k_min, k_max = int(occupied[0]), int(occupied[-1])
     m_out = max(0, k_max)
-    n_out = max(max(n - 2 * k for k in occupied), -k_min + 1, 1)
+    n_out = max(n - 2 * k_min, -k_min + 1, 1)
     size_out = p ** (m_out + n_out)
     if size_out > _INVERSION_SIZE_MAX:
         raise DomainError(f"inversion output size {size_out} beyond desk scale")
     size_in = phi.size
+    uinv = np.array([pow(u, -1, size_in) if u % p else 0 for u in range(size_in)])
     vpo = _vp_table(p, size_out)
-    occ = set(occupied)
+    # vpo[0] = m_out + n_out puts the 0-coset at k = -n_out < k_min: never read
+    jp = np.flatnonzero(np.isin(m_out - vpo, occupied))
+    v = vpo[jp]
+    step = p ** (m + m_out - v)  # p^(m+k) < size_in on every occupied shell
+    # two representatives of each output coset must read the same input
+    # coset (per-shell constancy modulus rule)
+    u = np.stack([jp, jp + size_out]) // p ** v
+    j_in = step * (uinv[u % size_in] % (size_in // step))
+    if np.any(j_in[1] != j_in[0]):
+        raise RuntimeError("inversion output level too coarse; constancy rule violated")
+    shell_scale = np.array([float(p) ** (w - m_out) for w in range(m_out + n_out)])
     out = np.zeros(size_out, dtype=complex)
-    for jp in range(1, size_out):
-        k = m_out - int(vpo[jp])  # output valuation is -k
-        if k not in occ:
-            continue
-        u = jp // p ** int(vpo[jp])
-        uinv = pow(u, -1, size_in)
-        j_in = (pow(p, m + k, size_in) * uinv) % size_in
-        # second representative of the same output coset must land in the
-        # same input coset (per-shell constancy modulus rule)
-        u2 = (jp + size_out) // p ** int(vpo[jp])
-        j_in2 = (pow(p, m + k, size_in) * pow(u2, -1, size_in)) % size_in
-        if j_in2 != j_in:
-            raise RuntimeError("inversion output level too coarse; constancy rule violated")
-        out[jp] = float(p) ** (-k) * phi.coeffs[j_in]
+    out[jp] = shell_scale[v] * phi.coeffs[j_in[0]]
     return LevelFunction(p, m_out, n_out, out)
 
 
@@ -708,13 +698,3 @@ def _fourier_radial_real(g: TestFunction, ax: float) -> complex:
     vals = np.asarray(g.evaluate(x), dtype=complex)
     return complex(2.0 * np.sum(w * vals * np.cos(2.0 * np.pi * ax * x)))
 
-
-def level_function_csv(phi: LevelFunction) -> str:
-    """Debug dump: one row per coset, columns j, representative, re, im."""
-    lines = ["j,representative,value_re,value_im"]
-    pm = phi.p ** phi.m
-    for j in range(phi.size):
-        rep = f"{j}/{pm}" if phi.m else str(j)
-        c = phi.coeffs[j]
-        lines.append(f"{j},{rep},{c.real:.15g},{c.imag:.15g}")
-    return "\n".join(lines) + "\n"

@@ -111,9 +111,9 @@ class TestFunction:
         raise NotImplementedError
 
     def profile(self, x):
-        raise NotImplementedError
+        return self.profile_deriv(x, 0)
 
-    def profile_deriv(self, x, order: int = 1):
+    def profile_deriv(self, x, order: int):
         raise NotImplementedError
 
     def _breakpoints(self) -> tuple[float, ...]:
@@ -201,14 +201,7 @@ class BumpCombination(TestFunction):
             pts.add(t.mu + t.sigma)
         return tuple(sorted(pts)) if pts else (0.0, 0.0)
 
-    def profile(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for t in self.terms:
-            out += t.amp * _bump_kernel((x - t.mu) / t.sigma, 0)
-        return out
-
-    def profile_deriv(self, x, order: int = 1):
+    def profile_deriv(self, x, order: int):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for t in self.terms:
@@ -322,7 +315,7 @@ class TransposedFunction(TestFunction):
         x = np.asarray(x, dtype=float)
         return np.exp(-x) * self.inner.profile(-x)
 
-    def profile_deriv(self, x, order: int = 1):
+    def profile_deriv(self, x, order: int):
         # d^k/dx^k [e^{-x} P(-x)] = (-1)^k e^{-x} sum_j C(k,j) P^(j)(-x)
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape, dtype=complex)
@@ -365,10 +358,7 @@ class DerivedFunction(TestFunction):
     def _breakpoints(self):
         return self.inner._breakpoints()
 
-    def profile(self, x):
-        return -self.inner.profile_deriv(x, 1)
-
-    def profile_deriv(self, x, order: int = 1):
+    def profile_deriv(self, x, order: int):
         return -self.inner.profile_deriv(x, order + 1)
 
     def conjugate(self):
@@ -421,10 +411,7 @@ class LogGridFunction(TestFunction):
             return (0.0, 0.0)
         return (self.x0, self.x0 + self.h * (self.values.size - 1))
 
-    def profile(self, x):
-        return self.profile_deriv(x, 0)
-
-    def profile_deriv(self, x, order: int = 1):
+    def profile_deriv(self, x, order: int):
         if order > 2:
             raise NotImplementedError("log-grid functions carry derivatives up to order 2")
         x = np.asarray(x, dtype=float)

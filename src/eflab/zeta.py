@@ -244,6 +244,8 @@ def zero_count(t: float) -> int:
     true count unless two zeros lie closer together than one track step.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"zero_count needs a finite t, got {t}")
     if t <= _TRACK_T0:
         return 0
     if t > T_DESK_MAX + 1e-9:
@@ -411,6 +413,10 @@ def read_zero_table(src, certify: bool = True) -> ZeroTable:
         accuracy = float(m.group(2))
     except ValueError:
         raise ParseError("line 1: bad numeric field in header") from None
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ParseError(f"line 1: t_max must be finite and > 0, got {m.group(1)}")
+    if not (math.isfinite(accuracy) and accuracy >= 0.0):
+        raise ParseError(f"line 1: accuracy must be finite and >= 0, got {m.group(2)}")
     count = int(m.group(3))
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count:

@@ -48,6 +48,27 @@ class TestZerosCommand:
         assert code == 1
         assert "ascending" in err
 
+    @pytest.mark.parametrize("header", [
+        "# zeta-zeros v1 t_max=nan accuracy=1e-09 count=0\n",
+        "# zeta-zeros v1 t_max=-5 accuracy=1e-09 count=0\n",
+    ])
+    def test_import_bad_t_max_exits_one(self, tmp_path, header):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header)
+        proc = subprocess.run([sys.executable, "-m", "eflab.cli", "zeros", "import",
+                               "--in", str(bad)], capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: line 1: t_max must be finite and > 0")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_negative_t_max_table_is_not_checked(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# zeta-zeros v1 t_max=-5 accuracy=1e-09 count=0\n")
+        code, out, err = run_cli(["ef", "check", "--testfn", "bump:mu=0.7,sigma=0.6",
+                                  "--zeros", str(bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_export_round_trip_bytes(self, tmp_path, zeros100_file):
         out = tmp_path / "copy.txt"
         code, _, _ = run_cli(["zeros", "export", "--in", zeros100_file,
@@ -319,6 +340,22 @@ class TestConductorCommand:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("argv", [
+        ["ef", "check", "--testfn", "bump:mu=0.7,sigma=0.6", "--zeros", "z.txt"],
+        ["ef", "vonmangoldt", "--X", "10.5", "--zeros", "z.txt"],
+        ["weil", "--place", "2", "--form", "all", "--testfn", "bump:mu=0.7,sigma=0.6"],
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-4"])
+    def test_tolerance_that_can_never_pass_exits_one(self, argv, tol):
+        code, out, err = run_cli(argv + [f"--tol={tol}"])
+        assert code == 1 and out == ""
+        assert err == f"error: argument --tol: tolerance must be finite and >= 0, got {tol}\n"
+
+    def test_non_numeric_tolerance_keeps_the_float_message(self):
+        code, _, err = run_cli(["ef", "vonmangoldt", "--X", "10.5", "--zeros", "z.txt",
+                                "--tol", "abc"])
+        assert code == 1 and err == "error: argument --tol: invalid float value: 'abc'\n"
+
     def test_program_value_error_is_not_an_input_error(self, monkeypatch):
         def broken(p, n):
             raise ValueError("bug")

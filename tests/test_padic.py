@@ -11,15 +11,16 @@ from scipy.integrate import quad
 
 from eflab import weil
 from eflab.errors import AdmissibilityError, DomainError
-from eflab.padic import (GAUSSIAN, LevelFunction, RealTestInput, ShellFunction,
-                         _conductor_rows, _cusp_basis_rows,
+from eflab.padic import (_INVERSION_SIZE_MAX, GAUSSIAN, LevelFunction, RealTestInput,
+                         ShellFunction, _admissibility_scale, _conductor_rows,
+                         _cusp_basis_rows, _vp_table,
                          additive_character, closed_form_spectrum,
                          commutation_check, conductor_apply, conductor_matrix,
                          cusp_project,
                          cusp_space_basis, cuspidal_spectrum, fourier_level,
                          fourier_inverse_level, g_apply, gamma_identity_check,
                          haran_term, inversion, level_distance,
-                         level_function_csv, lift_radial, mellin_fourier_check,
+                         lift_radial, mellin_fourier_check,
                          reflect_level, unit_action, w_field_prime)
 from eflab.special import Place, gamma_factor
 from eflab.testfn import StepFunction, bump
@@ -335,7 +336,6 @@ class TestConductorKernel:
     def test_basis_rows_are_the_level_functions(self):
         E = _cusp_basis_rows(3, 3)
         assert np.array_equal(np.array([e.coeffs for e in cusp_space_basis(3, 3)]), E)
-        assert np.array_equal(conductor_matrix(3, 3).basis, E)
 
     @pytest.mark.parametrize("p,n", BENCH_LEVELS + ((3, 6),))
     def test_eigenvalues_match_closed_form(self, p, n):
@@ -368,7 +368,94 @@ class TestConductorKernel:
         assert level_distance(lhs, rhs) <= 1e-12 * math.sqrt(phi.norm_sq())
 
 
+def _inversion_by_cosets(phi):
+    """Reference inversion: one pass per output coset, two pow calls each."""
+    p, m, n = phi.p, phi.m, phi.n
+    if abs(phi.coeffs[0]) > 1e-12 * _admissibility_scale(phi):
+        raise AdmissibilityError("inversion: support must avoid the coset of 0")
+    vp = phi.vp
+    occupied = sorted({int(vp[j]) - m for j in range(1, phi.size) if phi.coeffs[j] != 0})
+    if not occupied:
+        return LevelFunction(p, 0, 1, np.zeros(p, dtype=complex))
+    m_out = max(0, occupied[-1])
+    n_out = max(max(n - 2 * k for k in occupied), -occupied[0] + 1, 1)
+    size_out = p ** (m_out + n_out)
+    if size_out > _INVERSION_SIZE_MAX:
+        raise DomainError(f"inversion output size {size_out} beyond desk scale")
+    size_in = phi.size
+    vpo = _vp_table(p, size_out)
+    out = np.zeros(size_out, dtype=complex)
+    for jp in range(1, size_out):
+        k = m_out - int(vpo[jp])
+        if k not in occupied:
+            continue
+        u = jp // p ** int(vpo[jp])
+        j_in = (pow(p, m + k, size_in) * pow(u, -1, size_in)) % size_in
+        u2 = (jp + size_out) // p ** int(vpo[jp])
+        if (pow(p, m + k, size_in) * pow(u2, -1, size_in)) % size_in != j_in:
+            raise RuntimeError("inversion output level too coarse; constancy rule violated")
+        out[jp] = float(p) ** (-k) * phi.coeffs[j_in]
+    return LevelFunction(p, m_out, n_out, out)
+
+
+def _random_admissible_levels(seed):
+    """Dense, sparse and single-shell functions at p in {2,3,5,7}, m <= 2, n <= 3."""
+    rng = np.random.default_rng(seed)
+    for p in (2, 3, 5, 7):
+        for m in range(3):
+            for n in range(4):
+                size = p ** (m + n)
+                vp = _vp_table(p, size)
+                for kind in ("dense", "sparse", "shell"):
+                    c = rng.normal(size=size) + 1j * rng.normal(size=size)
+                    if kind == "sparse":
+                        c[rng.random(size) > 0.2] = 0.0
+                    elif kind == "shell":
+                        c[vp != rng.integers(0, max(m + n, 1))] = 0.0
+                    c[0] = 0.0
+                    yield LevelFunction(p, m, n, c)
+
+
+def _commutation_by_cosets(p, n):
+    worst = 0.0
+    for e in cusp_space_basis(p, n):
+        lhs = conductor_apply(_inversion_by_cosets(e))
+        rhs = _inversion_by_cosets(conductor_apply(e))
+        worst = max(worst, level_distance(lhs, rhs) / math.sqrt(e.norm_sq()))
+    return worst
+
+
 class TestInversion:
+    def test_gather_equals_coset_loop_exactly(self):
+        compared = 0
+        for seed in (0, 1):
+            for phi in _random_admissible_levels(seed):
+                try:
+                    out = inversion(phi)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as ref_exc:
+                        _inversion_by_cosets(phi)
+                    assert str(ref_exc.value) == str(exc)
+                    continue
+                if out.size > 20_000:  # keeps the reference loop short
+                    continue
+                ref = _inversion_by_cosets(phi)
+                assert (out.m, out.n) == (ref.m, ref.n)
+                assert np.array_equal(out.coeffs, ref.coeffs)
+                compared += 1
+        assert compared >= 250
+
+    def test_zero_function_goes_to_level_zero_one(self):
+        out = inversion(LevelFunction(3, 1, 2, np.zeros(27)))
+        assert (out.m, out.n) == (0, 1)
+        assert not np.any(out.coeffs)
+
+    def test_output_size_cap_fails_before_the_gather(self):
+        c = np.ones(2 ** 12, dtype=complex)
+        c[0] = 0.0
+        with pytest.raises(DomainError, match="beyond desk scale"):
+            inversion(LevelFunction(2, 6, 6, c))
+
     def test_involution_random_admissible(self):
         phi = random_level(3, 1, 2, 9)
         c = phi.coeffs.copy()
@@ -402,6 +489,10 @@ class TestCommutation:
     def test_small_spaces(self):
         assert commutation_check(3, 2) <= 1e-9
         assert commutation_check(2, 3) <= 1e-9
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3), (5, 2), (3, 3), (2, 5), (7, 2)])
+    def test_equals_the_coset_loop_exactly(self, p, n):
+        assert commutation_check(p, n) == _commutation_by_cosets(p, n)
 
     def test_error_propagates_for_inadmissible_input(self):
         # a radial function touches the 0-coset, so both composites refuse it
@@ -499,12 +590,3 @@ class TestWFieldPrimeShellSums:
     def test_integral_float_valuation_accepted(self):
         assert weil.w_field(G0, Place.prime(2), 1.0) == w_field_prime(G0, 2, 1)
 
-
-class TestLevelCsv:
-    def test_shape(self):
-        phi = LevelFunction(3, 1, 1, np.arange(9, dtype=complex))
-        text = level_function_csv(phi)
-        lines = text.strip().split("\n")
-        assert lines[0] == "j,representative,value_re,value_im"
-        assert len(lines) == 10
-        assert lines[1].startswith("0,0/3,")

@@ -288,6 +288,11 @@ class TestZeroCount:
         z = _hardy_real(_zeta_line_grid(ts), ts)
         assert zero_count(t) == int(np.sum(np.sign(z[:-1]) * np.sign(z[1:]) < 0))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            zero_count(t)
+
     def test_grid_track_matches_direct_track(self):
         raw_direct = tracked_raw(300.0, _zeta_line_many)
         raw_grid = tracked_raw(300.0, _zeta_line_grid)
@@ -422,6 +427,19 @@ class TestZeroTableIO:
         bad = "# zeta-zeros v1 t_max=30 accuracy=1e-09 count=3\n14.134725\n"
         with pytest.raises(ParseError):
             read_zero_table(io.StringIO(bad))
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "-5", "0"])
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_bad_t_max_rejected(self, t_max, certify):
+        text = f"# zeta-zeros v1 t_max={t_max} accuracy=1e-09 count=0\n"
+        with pytest.raises(ParseError, match="t_max must be finite and > 0"):
+            read_zero_table(text, certify=certify)
+
+    @pytest.mark.parametrize("accuracy", ["nan", "inf", "-1e-09"])
+    def test_bad_accuracy_rejected(self, accuracy):
+        text = f"# zeta-zeros v1 t_max=30 accuracy={accuracy} count=0\n"
+        with pytest.raises(ParseError, match="accuracy must be finite and >= 0"):
+            read_zero_table(text, certify=False)
 
     def test_external_import_certified(self):
         # a table produced elsewhere with 12 significant digits is accepted
