@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -28,7 +29,18 @@ class _ArgError(Exception):
     pass
 
 
+#: Tokens that are option values, never option strings: every negative float
+#: literal, exponent forms such as -1e-4 included (argparse's own pattern only
+#: knows -1 and -.5).
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _ArgError(message)
 

@@ -14,7 +14,8 @@ log-gamma and digamma are computed by argument raising into Re(z) >= 10
 followed by the Stirling series through the B_16 term; that combination keeps
 double-precision relative accuracy for every argument this package uses
 (|s| <= 1e3 in or near the critical strip, positive reals, theta-function
-arguments 1/4 + it/2).
+arguments 1/4 + it/2).  Left of Re(z) = 0 the reflection formulas map the
+argument to Re(1 - z) > 1, so no argument takes more than ten steps.
 """
 
 from __future__ import annotations
@@ -140,14 +141,6 @@ _PSI_COEF = (
 )
 
 _SHIFT_RE = 10.0
-_SHIFT_GUARD = 2_000_000
-
-
-def _check_shift_steps(z: np.ndarray, what: str) -> None:
-    # The recurrence below takes ceil(_SHIFT_RE - min Re z) unit steps; refuse
-    # more than _SHIFT_GUARD of them before taking any.
-    if z.size and _SHIFT_RE - float(np.min(z.real)) > _SHIFT_GUARD:
-        raise DomainError(f"{what}: argument too far left for desk scale")
 
 
 def _as_complex_array(s):
@@ -155,16 +148,13 @@ def _as_complex_array(s):
     return z, z.ndim == 0
 
 
-def log_gamma(s):
-    """Principal branch of log Gamma(s), relative error <= 1e-12 for |s| <= 1e3.
+def _reduced(z: np.ndarray) -> np.ndarray:
+    """z minus the nearest integer to Re z (exact), for the 1-periodic factors."""
+    return z - np.round(z.real)
 
-    Accepts a complex scalar or array.  Arguments within POLE_TOL of a
-    non-positive integer raise PoleError.
-    """
-    z0, scalar = _as_complex_array(s)
-    z = np.atleast_1d(z0).astype(np.complex128)
-    _pole_check_gamma(z, "log_gamma")
-    _check_shift_steps(z, "log_gamma")
+
+def _log_gamma_right(z: np.ndarray) -> np.ndarray:
+    """log Gamma on Re z >= 0: at most ten unit steps into Re w >= 10, then Stirling."""
     acc = np.zeros_like(z)
     w = z.copy()
     # Recurrence log G(z) = log G(z+1) - log z, applied until Re(w) >= 10.
@@ -182,17 +172,11 @@ def log_gamma(s):
     for c in reversed(_LG_COEF):
         ser = (ser + c) * r2
     ser = ser * w  # sum c_k w^(1-2k) = w * sum c_k w^(-2k)
-    out = (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + ser + acc
-    _ensure_finite(out, "log_gamma")
-    return complex(out[0]) if scalar else out.reshape(z0.shape)
+    return (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + ser + acc
 
 
-def digamma(s):
-    """psi(s) = Gamma'(s)/Gamma(s), relative error <= 1e-12; complex scalar or array."""
-    z0, scalar = _as_complex_array(s)
-    z = np.atleast_1d(z0).astype(np.complex128)
-    _pole_check_gamma(z, "digamma")
-    _check_shift_steps(z, "digamma")
+def _digamma_right(z: np.ndarray) -> np.ndarray:
+    """psi on Re z >= 0: at most ten unit steps into Re w >= 10, then Stirling."""
     acc = np.zeros_like(z)
     w = z.copy()
     while True:
@@ -205,7 +189,52 @@ def digamma(s):
     ser = np.zeros_like(w)
     for c in reversed(_PSI_COEF):
         ser = (ser + c) * r2
-    out = np.log(w) - 0.5 / w - ser + acc
+    return np.log(w) - 0.5 / w - ser + acc
+
+
+def log_gamma(s):
+    """Principal branch of log Gamma(s), relative error <= 1e-12 for |s| <= 1e3.
+
+    Accepts a complex scalar or array.  Arguments within POLE_TOL of a
+    non-positive integer raise PoleError.  Re s < 0 goes through the
+    reflection formula, written for Im s >= 0 as
+
+        log G(s) = log(2 pi) - i pi/2 + i pi s - log(1 - e^(2 pi i s)) - log G(1 - s),
+
+    where every term is analytic on the upper half-plane and the constant is
+    fixed at s = 1/2, so it is the principal branch; Im s < 0 follows by
+    conjugation and a real s takes the limit from above, as mpmath does.
+    """
+    z0, scalar = _as_complex_array(s)
+    z = np.atleast_1d(z0).astype(np.complex128)
+    _pole_check_gamma(z, "log_gamma")
+    out = np.empty_like(z)
+    left = z.real < 0.0
+    out[~left] = _log_gamma_right(z[~left])
+    if left.any():
+        lower = z[left].imag < 0.0
+        zu = np.where(lower, np.conj(z[left]), z[left])
+        val = (LOG_2PI - 0.5j * math.pi + 1j * math.pi * zu
+               - np.log(-np.expm1(2j * math.pi * _reduced(zu))) - _log_gamma_right(1.0 - zu))
+        out[left] = np.where(lower, np.conj(val), val)
+    _ensure_finite(out, "log_gamma")
+    return complex(out[0]) if scalar else out.reshape(z0.shape)
+
+
+def digamma(s):
+    """psi(s) = Gamma'(s)/Gamma(s), relative error <= 1e-12; complex scalar or array.
+
+    Re s < 0 goes through the reflection psi(s) = psi(1 - s) - pi cot(pi s).
+    """
+    z0, scalar = _as_complex_array(s)
+    z = np.atleast_1d(z0).astype(np.complex128)
+    _pole_check_gamma(z, "digamma")
+    out = np.empty_like(z)
+    left = z.real < 0.0
+    out[~left] = _digamma_right(z[~left])
+    if left.any():
+        zl = z[left]
+        out[left] = _digamma_right(1.0 - zl) - math.pi / np.tan(math.pi * _reduced(zl))
     _ensure_finite(out, "digamma")
     return complex(out[0]) if scalar else out.reshape(z0.shape)
 

@@ -39,17 +39,88 @@ from .quadrature import panel_nodes
 CONV_SPACING = 1.0 / 512.0
 
 _MELLIN_CHUNK = 512
+#: Taylor radius |s - c| * max|x - x0| inside a moment window.
+_MOMENT_RHO = 2.0
+#: Taylor terms per window; _mellin_sum bounds the rest.
+_MOMENT_TERMS = 26
+#: Calls with fewer ordinates take the direct sum.
+_MOMENT_MIN_POINTS = 64
+_INV_FACTORIALS = np.array([1.0 / math.factorial(m) for m in range(_MOMENT_TERMS)])
 
 #: Points in the local Lagrange stencil of log-grid interpolation.
 _STENCIL = 8
 
 
-def _mellin_sum(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _mellin_direct(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k F_k e^{s x_k} for every s, in blocks of _MELLIN_CHUNK ordinates."""
     out = np.empty(s.shape, dtype=complex)
     for lo in range(0, s.size, _MELLIN_CHUNK):
         blk = s[lo:lo + _MELLIN_CHUNK]
         out[lo:lo + _MELLIN_CHUNK] = F @ np.exp(np.multiply.outer(x, blk))
+    return out
+
+
+def _mellin_sum(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k F_k e^{s x_k} for every s in a 1-D array, by windowed Taylor moments.
+
+    With x0 the midpoint of the nodes, r half their span and u = x - x0, the
+    ordinates are split into windows of half-width at most h = rho/r along
+    Im s.  Around a window centre c,
+
+        sum_k F_k e^{s x_k} = e^{(s-c) x0} sum_m mom[m] ((s-c)/h)^m,
+        mom[m] = sum_k F_k e^{c x_k} (h u_k)^m / m!,
+
+    with every window's moments from one matrix product.  A point within h
+    of its centre has |(s-c) u_k| <= rho = 2, so the dropped terms m >= M = 26
+    are at most rho^M/M!/(1 - rho/(M+1)) < 2e-19 times
+    e^{|Re(s-c)| r} sum |F e^{Re s x}|; the centres share the median real
+    part, so on a vertical line that factor is 1 and elsewhere at most e^2.
+    Calls with fewer than _MOMENT_MIN_POINTS ordinates, more than three
+    windows per four ordinates or a non-finite ordinate, and points farther
+    than h from their centre, take the direct sum.
+    """
+    if s.size < _MOMENT_MIN_POINTS or x.size < 2:
+        return _mellin_direct(x, F, s)
+    x_lo, x_hi = float(x.min()), float(x.max())
+    x0 = 0.5 * (x_lo + x_hi)
+    r = 0.5 * (x_hi - x_lo)
+    lo = s.imag.min()
+    span = s.imag.max() - lo
+    windows = span * r / (2.0 * _MOMENT_RHO)
+    if r == 0.0 or not 4.0 * windows <= 3.0 * s.size:
+        return _mellin_direct(x, F, s)
+    h = _MOMENT_RHO / r
+    n_win = max(1, math.ceil(windows))
+    width = span / n_win
+    idx = (np.minimum(((s.imag - lo) / width).astype(np.intp), n_win - 1) if n_win > 1
+           else np.zeros(s.size, dtype=np.intp))
+    sigma = s.real[0] if np.all(s.real == s.real[0]) else np.median(s.real)
+    c = sigma + 1j * (lo + (np.arange(n_win) + 0.5) * width)
+    hu = h * (x - x0)
+    powers = np.empty((_MOMENT_TERMS, x.size))
+    powers[0] = 1.0
+    for m in range(1, _MOMENT_TERMS):
+        np.multiply(powers[m - 1], hu, out=powers[m])
+    powers[2:] *= _INV_FACTORIALS[2:, None]
+    # mom[m, w]: the complex (N, w) phase block viewed as (N, 2w) reals, so
+    # each chunk of windows costs one real matrix-matrix product.
+    mom = np.concatenate([
+        (powers @ (F[:, None] * np.exp(np.multiply.outer(x, c[k:k + _MELLIN_CHUNK])))
+         .view(np.float64)).view(complex)
+        for k in range(0, n_win, _MELLIN_CHUNK)], axis=1)
+    d = s - c[idx]
+    near = np.abs(d) <= h
+    dn = d[near]
+    v = dn / h
+    coef = mom[:, idx[near]]
+    acc = coef[-1].copy()
+    for m in range(_MOMENT_TERMS - 2, -1, -1):
+        acc *= v
+        acc += coef[m]
+    out = np.empty(s.shape, dtype=complex)
+    out[near] = np.exp(dn * x0) * acc
+    if not near.all():
+        out[~near] = _mellin_direct(x, F, s[~near])
     return out
 
 

@@ -4,6 +4,7 @@ derivation, and multiplicative convolution."""
 import math
 from functools import reduce
 from operator import add
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from eflab import testfn
+from eflab.contour import BLOCK_WIDTH
 from eflab.errors import AdmissibilityError, DomainError, ParseError
+from eflab.quadrature import panel_nodes
 from eflab.testfn import (BumpCombination, LogGridFunction, StepFunction,
                           autocorrelate, bump, derivation_D, mconvolve,
                           parse_test_function)
 
-from conftest import G0
+from conftest import CORPUS, G0
 
 
 def mellin_quad_oracle(g, s, lo, hi):
@@ -321,6 +325,157 @@ class TestAlgebraProperties:
         v = autocorrelate(g).mellin(0.5 + 1j * np.array(ts))
         assert np.max(np.abs(v.imag)) <= 1e-13
         assert np.min(v.real) >= -1e-12
+
+
+def direct_mellin_sum(x, F, s):
+    """The chunked direct sum sum_k F_k e^{s x_k}, one exponential per (node, ordinate)."""
+    out = np.empty(s.shape, dtype=complex)
+    for lo in range(0, s.size, 512):
+        blk = s[lo:lo + 512]
+        out[lo:lo + 512] = F @ np.exp(np.multiply.outer(x, blk))
+    return out
+
+
+def kernel_call(g, s):
+    """(x, F, kernel value) of the one kernel call that g.mellin(s) makes."""
+    calls = []
+    kernel = testfn._mellin_sum
+
+    def spy(x, F, s):
+        out = kernel(x, F, s)
+        calls.append((x, F, out))
+        return out
+
+    with mock.patch.object(testfn, "_mellin_sum", spy):
+        value = g.mellin(s)
+    assert len(calls) == 1
+    x, F, out = calls[0]
+    assert np.array_equal(value, out)
+    return x, F, out
+
+
+def kernel_scale(x, F, s):
+    """sum_k |F_k e^{Re s x_k}| for every s: the size the kernel's error is measured in."""
+    return np.abs(F) @ np.exp(np.multiply.outer(x, s.real))
+
+
+def contour_block(k, osc):
+    """Ordinates of the k-th t >= 0 block of the vertical-line integrator."""
+    t, _ = panel_nodes((k * BLOCK_WIDTH, (k + 1) * BLOCK_WIDTH), density=8.0, osc=osc)
+    return 0.5 + 1j * t
+
+
+def line_ordinates(n, seed):
+    return 0.5 + 1j * np.sort(np.random.default_rng(seed).uniform(0.0, 600.0, n))
+
+
+def strip_points(n, seed):
+    # half on the line, half with real parts across [-3, 4]: the second half
+    # falls outside its window whenever the real part moves more than h
+    rng = np.random.default_rng(seed)
+    re = np.where(rng.random(n) < 0.5, 0.5, rng.uniform(-3.0, 4.0, n))
+    return re + 1j * rng.uniform(-60.0, 60.0, n)
+
+
+_KERNEL_BUMP = st.builds(bump, st.floats(-2.0, 3.0), st.floats(0.1, 1.0),
+                         st.floats(0.5, 2.0))
+_KERNEL_FUNCTIONS = st.one_of(
+    _KERNEL_BUMP,
+    st.lists(_KERNEL_BUMP, min_size=2, max_size=3).map(lambda bs: reduce(add, bs)),
+    _KERNEL_BUMP.map(autocorrelate),
+    _KERNEL_BUMP.map(derivation_D),
+    st.lists(_KERNEL_BUMP, min_size=1, max_size=2).map(lambda bs: reduce(add, bs).transpose()),
+)
+_KERNEL_ORDINATES = st.one_of(
+    st.builds(contour_block, st.integers(0, 99), st.floats(0.0, 10.0)),
+    st.builds(line_ordinates, st.integers(64, 400), st.integers(0, 2**32 - 1)),
+    st.builds(strip_points, st.integers(64, 300), st.integers(0, 2**32 - 1)),
+)
+
+
+class TestMellinKernel:
+    """The windowed Taylor-moment kernel against the direct sum on the same nodes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_KERNEL_FUNCTIONS, _KERNEL_ORDINATES)
+    def test_matches_the_direct_sum(self, g, s):
+        x, F, got = kernel_call(g, s)
+        ref = direct_mellin_sum(x, F, s)
+        eps = np.finfo(float).eps
+        bound = 64 * eps * (1.0 + np.max(np.abs(s.imag)) * np.max(np.abs(x)))
+        assert np.all(np.abs(got - ref) <= bound * kernel_scale(x, F, s))
+
+    def test_fixed_corpus_within_1e_13(self):
+        fns = CORPUS + (CORPUS[1] + CORPUS[3], bump(-1.5, 0.5) + bump(2.4, 0.6),
+                        autocorrelate(G0), derivation_D(CORPUS[2]), CORPUS[4].transpose())
+        for g in fns:
+            a, b = g.support_log()
+            assert -2.0 <= a and b <= 3.0
+            blocks = [contour_block(k, 5.0) for k in range(0, 100, 9)]
+            for s in blocks + [line_ordinates(300, 1), strip_points(200, 2)]:
+                x, F, got = kernel_call(g, s)
+                err = np.abs(got - direct_mellin_sum(x, F, s)) / kernel_scale(x, F, s)
+                assert err.max() <= 1e-13, (g, err.max())
+
+    @staticmethod
+    def direct_calls(x, F, s):
+        calls = []
+        direct = testfn._mellin_direct
+
+        def spy(x, F, s):
+            calls.append(s.copy())
+            return direct(x, F, s)
+
+        with mock.patch.object(testfn, "_mellin_direct", spy):
+            out = testfn._mellin_sum(x, F, s)
+        return out, calls
+
+    @staticmethod
+    def nodes(g, s):
+        x, w = panel_nodes(g._breakpoints(), density=64.0,
+                           osc=float(np.max(np.abs(s.imag), initial=0.0)))
+        return x, w * g.profile(x)
+
+    def test_empty_s(self):
+        s = np.empty(0, dtype=complex)
+        assert testfn._mellin_sum(*self.nodes(G0, s), s).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, testfn._MOMENT_MIN_POINTS - 1])
+    def test_small_calls_take_the_direct_sum(self, n):
+        s = 0.5 + 1j * np.linspace(0.0, 100.0, n)
+        x, F = self.nodes(G0, s)
+        out, calls = self.direct_calls(x, F, s)
+        assert len(calls) == 1 and np.array_equal(calls[0], s)
+        assert np.array_equal(out, direct_mellin_sum(x, F, s))
+
+    def test_contour_block_takes_only_moments(self):
+        s = contour_block(40, 2.0)
+        assert s.size >= testfn._MOMENT_MIN_POINTS
+        x, F = self.nodes(G0, s)
+        out, calls = self.direct_calls(x, F, s)
+        assert calls == []
+        err = np.abs(out - direct_mellin_sum(x, F, s)) / kernel_scale(x, F, s)
+        assert err.max() <= 1e-13
+
+    def test_points_outside_their_window_take_the_direct_sum(self):
+        # G0's nodes span [0.1, 1.3], so r = 0.6 and h = 2/r = 3.3: Re s = 5
+        # puts a point at least 4.5 from every centre on the line Re s = 1/2
+        s = 0.5 + 1j * np.linspace(0.0, 50.0, 100)
+        s[[3, 50, 97]] += 4.5
+        x, F = self.nodes(G0, s)
+        out, calls = self.direct_calls(x, F, s)
+        assert len(calls) == 1 and np.array_equal(calls[0], s[[3, 50, 97]])
+        assert np.array_equal(out[[3, 50, 97]], direct_mellin_sum(x, F, s[[3, 50, 97]]))
+        err = np.abs(out - direct_mellin_sum(x, F, s)) / kernel_scale(x, F, s)
+        assert err.max() <= 1e-13
+
+    def test_wide_support_takes_the_direct_sum(self):
+        # nodes 200 apart make windows of half-width 0.02: one per ordinate
+        g = bump(-100.0, 0.5) + bump(100.0, 0.5)
+        s = 0.5 + 1j * np.linspace(0.0, 200.0, 100)
+        x, F = self.nodes(g, s)
+        out, calls = self.direct_calls(x, F, s)
+        assert len(calls) == 1 and np.array_equal(calls[0], s)
 
 
 #: A literal field: any float, written as the grammar allows (no '+'), or any text.
