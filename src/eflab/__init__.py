@@ -8,8 +8,8 @@ equivalent routes (finite integrals, series, finite-part integrals, vertical
 contour integrals, additive-convolution shell sums).
 """
 
-from .errors import (AdmissibilityError, AmbiguityError, CertificationError,
-                     ConvergenceError, DomainError, ParseError, PoleError)
+from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
+                     DomainError, ParseError, PoleError)
 from .special import (EULER_GAMMA, Place, digamma, gamma_factor, is_prime,
                       lambda_factor, log_gamma)
 from .testfn import (BumpCombination, LogGridFunction, StepFunction,

@@ -15,14 +15,14 @@ import sys
 import numpy as np
 
 from . import padic, weil
-from .errors import (AdmissibilityError, AmbiguityError, CertificationError,
-                     ConvergenceError, DomainError, ParseError, PoleError)
+from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
+                     DomainError, ParseError, PoleError)
 from .special import Place, is_prime
 from .testfn import parse_test_function
 from .zeta import find_zeros, read_zero_table, zero_table_to_string
 
 _INPUT_ERRORS = (ParseError, DomainError, AdmissibilityError, CertificationError,
-                 PoleError, AmbiguityError, ConvergenceError, OSError)
+                 PoleError, ConvergenceError, OSError)
 
 
 class _ArgError(Exception):

@@ -18,11 +18,7 @@ class ConvergenceError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """A zero table failed count certification against the counting formula."""
-
-
-class AmbiguityError(RuntimeError):
-    """The zero-counting formula did not land near an integer."""
+    """A zero count or zero table failed certification by Turing's method."""
 
 
 class AdmissibilityError(ValueError):

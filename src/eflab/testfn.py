@@ -214,7 +214,7 @@ class TestFunction:
         """ghat(s) = int g(u) u^s du/u; complex scalar or array argument."""
         sz = np.asarray(s, dtype=complex)
         scalar = sz.ndim == 0
-        out = self._mellin_many(np.atleast_1d(sz))
+        out = self._mellin_many(sz.reshape(-1))
         return complex(out[0]) if scalar else out.reshape(sz.shape)
 
     def _mellin_many(self, s: np.ndarray) -> np.ndarray:

@@ -4,16 +4,19 @@ and the prime-power side of the classical balance.
 The evaluator is Euler-Maclaurin continuation with N ~ |Im s| initial terms
 and Bernoulli corrections through B_24, giving absolute error well below
 1e-10 on 0 <= Re s <= 2, |Im s| <= 1e3 (desk scale).  Zeros are located as
-sign changes of the Hardy function Z(t) = e^{i theta(t)} zeta(1/2 + it) and
-certified against the counting formula N(t) = theta(t)/pi + 1 + S(t), with
-S tracked by phase continuity along the critical line.
+sign changes of the Hardy function Z(t) = e^{i theta(t)} zeta(1/2 + it), and
+their count is certified by Turing's method (Turing 1953; Brent, Math. Comp.
+33 (1979), Theorem 3.2, with Lehman's bound on the integral of S).
 
-What the certification covers: on the line zeta = e^{-i theta} Z, so the
-tracked phase of zeta is -theta plus pi at each sign change of Z, and the
-rounded count is exactly the number of sign changes of Z on the 0.01 track.
-Certification therefore catches zeros that the 0.08 scan steps over, but a
-pair of zeros closer together than the track step is invisible to the count
-itself.  Turing's method would be the independent check.
+What the certification covers: each sign change is a zero, so the scan's
+count in (0, t] is a lower bound for N(t), and so is its count up to a good
+Gram point g_j >= max(t, 168 pi) for N(g_j).  Rosser's rule on the next few
+Gram blocks and Lehman's bound prove N(g_j) <= j + 1, so when the scan finds
+j + 1 sign changes below g_j it has found every zero below t, a close pair
+included; when it finds fewer the scan is repeated 8 times finer, and
+CertificationError is raised if that falls short too (zero_count derives
+the bound).  The count assumes that each sign the scan reads is the sign of
+Z, as the next paragraphs bound.
 
 The direct kernel (_zeta_line_many, _hardy_z_many) sums the O(t) Dirichlet
 terms sample by sample.  Two cheaper kernels share its Euler-Maclaurin tail
@@ -21,16 +24,15 @@ terms sample by sample.  Two cheaper kernels share its Euler-Maclaurin tail
 
 * On a uniform grid the Dirichlet phases factor,
   n^(-i(t_c + (jB + k)h)) = n^(-i(t_c + jBh)) n^(-ikh), so each chunk of
-  samples is one matrix product (_zeta_line_grid).  It serves the phase track
-  of zero_count (every 0.01 from t = 6; within 2.9e-12 of the direct sum up
-  to t = 1000, far inside the 0.25 band the count is rounded with) and the
-  sign-change scan of find_zeros.
+  samples is one matrix product (_zeta_line_grid).  It serves the
+  sign-change scan of find_zeros and zero_count (within 2.9e-12 of the
+  direct sum on grids up to t = 1000).
 * Around each bracket centre c the Dirichlet sum is a power series in
   -i(t - c) whose coefficients, the moments sum_n n^(-1/2-ic) (log n)^m / m!,
   come from one matrix product for all brackets (_bracket_moments); each
   bisection pass is then a Horner evaluation.
 
-Every sign find_zeros acts on is the direct kernel's sign: a fast Z closer
+Every sign find_zeros and zero_count act on is the direct kernel's sign: a fast Z closer
 than _SIGN_MARGIN = 1e-9 to zero is replaced by the direct value
 (_certified_z).  The fast Z of the scan and of the bisection differ from the
 direct Z by at most 2.4e-12 up to t = 1000, about 400 times less than the
@@ -47,8 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (AmbiguityError, CertificationError, DomainError,
-                     ParseError, PoleError)
+from .errors import CertificationError, DomainError, ParseError, PoleError
 from .special import LOG_PI, factorize, log_gamma
 
 T_DESK_MAX = 1000.0
@@ -57,8 +58,8 @@ SIEVE_LIMIT_MAX = 1_000_000
 
 _SCAN_STEP = 0.08
 _SCAN_REFINE = 8
-_TRACK_STEP = 0.01
-_TRACK_T0 = 6.0
+#: Lehman's bound on the integral of S(t) holds above this height.
+_TURING_T0 = 168.0 * math.pi
 _LINE_CHUNK = 2048
 _GRID_BLOCK = 64
 #: A fast-kernel Z closer than this to zero gets its sign from the direct kernel.
@@ -132,7 +133,7 @@ def _zeta_line_grid(ts: np.ndarray) -> np.ndarray:
     t_c with step h, sample jB + k has n^(-i t) = n^(-i(t_c + jBh)) n^(-ikh), so
     the Dirichlet sum is one (J x N) @ (N x B) product: (J + B) N exponentials
     instead of J B N.  Differs from the direct kernel by rounding of t and of
-    the product, measured <= 2.9e-12 on the zero_count tracks up to t = 1000.
+    the product, measured <= 2.9e-12 on 0.01 grids from t = 6 up to t = 1000.
     """
     out = np.empty(ts.size, dtype=complex)
     h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
@@ -231,50 +232,13 @@ def hardy_z(t):
     return float(out[0]) if scalar else out.reshape(t0.shape)
 
 
-def zero_count(t: float) -> int:
-    """Count of zeros with 0 < gamma <= t (t itself away from ordinates).
-
-    Computed as the nearest integer to theta(t)/pi + 1 + S(t), where the
-    argument term S is tracked by phase continuity along Re s = 1/2 from a
-    base point below the first ordinate.  Raises AmbiguityError if the
-    formula lands farther than 0.25 from an integer.
-
-    The tracked phase of zeta is -theta plus pi at each sign change of Z, so
-    the value is the number of sign changes of Z on the 0.01 track: it is the
-    true count unless two zeros lie closer together than one track step.
-    """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"zero_count needs a finite t, got {t}")
-    if t <= _TRACK_T0:
-        return 0
-    if t > T_DESK_MAX + 1e-9:
-        raise DomainError(f"zero_count is calibrated for t <= {T_DESK_MAX}")
-    n_steps = max(1, int(math.ceil((t - _TRACK_T0) / _TRACK_STEP)))
-    ts = np.linspace(_TRACK_T0, t, n_steps + 1)
-    vals = _zeta_line_grid(ts)
-    # Samples essentially on top of a zero carry no usable phase; nudge them.
-    tiny = np.abs(vals) < 1e-8
-    if tiny.any():
-        ts = ts.copy()
-        ts[tiny] += 0.003
-        vals[tiny] = _zeta_line_many(ts[tiny])
-    var = float(np.sum(np.angle(vals[1:] / vals[:-1])))
-    raw = (rs_theta(t) - rs_theta(_TRACK_T0) + var) / math.pi
-    count = int(round(raw))
-    if abs(raw - count) > 0.25:
-        raise AmbiguityError(
-            f"counting formula gave {raw:.6f}, farther than 0.25 from an integer")
-    return count
-
-
 @dataclass(frozen=True)
 class ZeroTable:
     """Ascending positive ordinates of critical-line zeros up to t_max.
 
-    Certified tables have length equal to the counting-formula value at
-    t_max; find_zeros and read_zero_table set the flag, hand-built tables
-    carry certified=False and are rejected by the explicit-formula drivers.
+    Certified tables have length N(t_max) as zero_count proves it;
+    find_zeros and read_zero_table set the flag, hand-built tables carry
+    certified=False and are rejected by the explicit-formula drivers.
     """
 
     ordinates: np.ndarray
@@ -284,7 +248,9 @@ class ZeroTable:
 
     def __post_init__(self):
         g = np.ascontiguousarray(np.asarray(self.ordinates, dtype=float))
-        if g.size and (np.any(np.diff(g) <= 0.0) or g[0] <= 0.0 or g[-1] > self.t_max + 1e-12):
+        # Written as what must hold, so that a NaN fails it.
+        if g.size and not (np.all(np.diff(g) > 0.0) and g[0] > 0.0
+                           and g[-1] <= self.t_max + 1e-12):
             raise DomainError("zero table must be strictly ascending inside (0, t_max]")
         g.flags.writeable = False
         object.__setattr__(self, "ordinates", g)
@@ -329,24 +295,136 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def zero_count(t: float) -> int:
+    """N(t), the number of zeros with 0 < gamma <= t, certified by Turing's method.
+
+    The count is the number of sign changes of Z in (0, t] on the scan that
+    find_zeros runs (step 0.08 from t = 0.1, with t itself sampled).  It is
+    proved to be N(t) with the Gram points g_j, where theta(g_j) = j pi, so
+    that N(g_j) = j + 1 + S(g_j):
+
+    * Anchor.  g_j is the first good Gram point, (-1)^j Z(g_j) > 0, at or
+      above max(t, 168 pi).  Z(0) < 0, so the sign of Z(g_j) makes the number
+      of zeros of odd order on the line below g_j, and with it N(g_j) (zeros
+      off the line pair up at one ordinate), congruent to j + 1 mod 2: the
+      integer S(g_j) is even.
+    * Upper bound (Brent's argument, Math. Comp. 33 (1979), Theorem 3.2).
+      Beyond g_j come K Gram blocks, each running from one good Gram point
+      to the next, that end at g_p; each must obey Rosser's rule: a block of
+      l Gram intervals holds at least l sign changes.  Suppose S(g_j) >= 2.
+      N(t) >= N(g_j) plus the zeros in (g_j, t].  Rosser's rule on the
+      blocks before t and one sign change between consecutive bad Gram
+      points inside t's block give S(t) >= 2 - phi on a block's first Gram
+      interval and S(t) >= 1 - phi on its others, where
+      phi = theta(t)/pi - m lies in [0, 1) on [g_m, g_m+1).  theta is convex
+      there, so phi lies below its chord: an interval of length d adds at
+      least d/2 to the integral of S, a block's first one at least 3d/2.
+      theta' < L/2 with L = log(g_p / 2 pi), so d >= 2 pi / L, and the
+      integral of S over [g_j, g_p] is at least 3 pi K / L.  Lehman's bound
+      |int_t1^t2 S(t) dt| <= 2.30 + 0.128 log(t2 / 2 pi), which holds for
+      168 pi < t1 < t2 (hence the anchor), rules that out once
+      K > L (2.30 + 0.128 L) / (3 pi).  So N(g_j) <= j + 1; K is 2 up to
+      t = 1000.
+    * Squeeze.  Every sign change is a zero, so L1 sign changes in (0, t]
+      and L2 in (t, g_j] with L1 + L2 = j + 1 prove N(t) = L1.
+
+    The signs at the Gram points and at t come from the direct kernel, those
+    on the scan grid from the grid kernel with the direct kernel below
+    _SIGN_MARGIN.  A shortfall (a pair of zeros closer than the step, or a
+    block short of Rosser's rule) triggers one rescan _SCAN_REFINE times
+    finer; CertificationError if that falls short too.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"zero_count needs a finite t, got {t}")
+    if t > T_DESK_MAX + 1e-9:
+        raise DomainError(f"zero_count is calibrated for t <= {T_DESK_MAX}")
+    if t <= 0.0:
+        return 0
+    return _certified_scan(t)[0].size
+
+
+def _gram_points(js: np.ndarray, t0: float) -> np.ndarray:
+    """Gram points g_j, theta(g_j) = j pi, near t0 >= 168 pi, by Newton on
+    rs_theta with the slope theta'(t) ~ log(t / 2 pi) / 2."""
+    g = t0 + (js * math.pi - rs_theta(t0)) * 2.0 / math.log(t0 / (2.0 * math.pi))
+    for _ in range(20):
+        dg = (rs_theta(g) - js * math.pi) * 2.0 / np.log(g / (2.0 * math.pi))
+        g = g - dg
+        if float(np.max(np.abs(dg))) < 1e-9:
+            return g
+    raise RuntimeError("Gram point iteration did not converge")
+
+
+def _rosser_blocks_needed(g: np.ndarray) -> np.ndarray:
+    """The bound that K Gram blocks ending at g must exceed (see zero_count)."""
+    L = np.log(g / (2.0 * math.pi))
+    return L * (2.30 + 0.128 * L) / (3.0 * math.pi)
+
+
+def _turing_certify(t: float, below: int, step: float) -> None:
+    """Raise CertificationError unless below, the sign changes of Z in (0, t]
+    on the scan at this step, is N(t) by Turing's method (see zero_count)."""
+    t0 = max(t, _TURING_T0)
+    j0 = math.ceil(rs_theta(t0) / math.pi)
+    n = 16
+    while True:
+        js = j0 + np.arange(n)
+        gs = _gram_points(js, t0)
+        zg = _hardy_z_many(gs)
+        good = np.flatnonzero(np.where(js % 2, -1.0, 1.0) * zg > 0.0)
+        enough = np.flatnonzero(np.arange(1, good.size) > _rosser_blocks_needed(gs[good[1:]]))
+        if enough.size:
+            break
+        n *= 2
+    ends = good[:enough[0] + 2]
+    grid = np.arange(0.1, gs[ends[-1]], step)
+    grid = grid[grid > t]
+    ts = np.concatenate(([t], grid, gs[ends[0]:ends[-1] + 1]))
+    # Z(t) bit for bit as _scan's last sample, so both sides of t read one sign.
+    zt = np.concatenate((_hardy_z_many(ts[:1]), _certified_z(grid, _zeta_line_grid(grid)),
+                         zg[ends[0]:ends[-1] + 1]))
+    order = np.argsort(ts, kind="stable")
+    ts, zt = ts[order], zt[order]
+    flips = ts[1:][np.sign(zt[:-1]) * np.sign(zt[1:]) < 0]
+    found = np.diff(np.searchsorted(flips, np.append(t, gs[ends]), side="right"))
+    j = int(js[ends[0]])
+    if below + found[0] != j + 1 or np.any(found[1:] < np.diff(ends)):
+        raise CertificationError(
+            f"Turing's method at Gram point g_{j} = {gs[ends[0]]:.6f}: "
+            f"{below} sign changes in (0, {t}] and {found[0]} above, against "
+            f"N(g_{j}) = {j + 1}; Gram blocks of lengths {np.diff(ends).tolist()} "
+            f"show {found[1:].tolist()} sign changes")
+
+
+def _certified_scan(t_max: float):
+    """_scan(t_max, _SCAN_STEP), with its count of brackets certified as
+    N(t_max) by Turing's method.  On a shortfall the scan is repeated
+    _SCAN_REFINE times finer, and its brackets replace the coarse ones unless
+    both counts agree."""
+    brackets = _scan(t_max, _SCAN_STEP)
+    try:
+        _turing_certify(t_max, brackets[0].size, _SCAN_STEP)
+    except CertificationError:
+        fine = _SCAN_STEP / _SCAN_REFINE
+        refined = _scan(t_max, fine)
+        _turing_certify(t_max, refined[0].size, fine)
+        if refined[0].size != brackets[0].size:
+            brackets = refined
+    return brackets
+
+
 def find_zeros(t_max: float) -> ZeroTable:
     """All ordinates <= t_max, bisected to 1e-9, count-certified.
 
-    Scans Z(t) at step 0.08 for sign changes; on a count mismatch rescans at
-    an 8x finer step, and raises CertificationError if the refined scan still
-    disagrees with the counting formula.
+    Scans Z(t) at step 0.08 for sign changes and certifies their count by
+    Turing's method on the same scan (see zero_count); on a shortfall rescans
+    at an 8x finer step, and raises CertificationError if that falls short too.
     """
     t_max = float(t_max)
     if not 0.0 < t_max <= T_DESK_MAX + 1e-9:
         raise DomainError(f"find_zeros needs 0 < t_max <= {T_DESK_MAX}")
-    expected = zero_count(t_max)
-    lo, hi, zlo = _scan(t_max, _SCAN_STEP)
-    if lo.size != expected:
-        lo, hi, zlo = _scan(t_max, _SCAN_STEP / _SCAN_REFINE)
-        if lo.size != expected:
-            raise CertificationError(
-                f"scan found {lo.size} sign changes but the counting formula "
-                f"demands {expected} zeros below {t_max}")
+    lo, hi, zlo = _certified_scan(t_max)
     return ZeroTable(_bisect(lo, hi, zlo), t_max, ZERO_ACCURACY, certified=True)
 
 
@@ -387,9 +465,9 @@ def write_zero_table(table: ZeroTable, dest) -> None:
 def read_zero_table(src, certify: bool = True) -> ZeroTable:
     """Parse and certify a zero table; src is a path, text, or text stream.
 
-    Rejects a missing/malformed header, non-ascending or out-of-range
-    ordinates (ParseError with the line number), and, when certify is on,
-    any count that disagrees with the counting formula at t_max.
+    Rejects a missing/malformed header, non-finite, non-ascending or
+    out-of-range ordinates (ParseError with the line number), and, when
+    certify is on, any count other than N(t_max) from a fresh zero_count.
     """
     if hasattr(src, "read"):
         text = src.read()
@@ -428,6 +506,8 @@ def read_zero_table(src, certify: bool = True) -> ZeroTable:
             g = float(ln)
         except ValueError:
             raise ParseError(f"line {i}: not a decimal ordinate: {ln!r}") from None
+        if not math.isfinite(g):
+            raise ParseError(f"line {i}: ordinate must be finite, got {ln.strip()!r}")
         if g <= prev:
             raise ParseError(f"line {i}: ordinates must be strictly ascending")
         if g > t_max + 1e-12:
@@ -438,8 +518,8 @@ def read_zero_table(src, certify: bool = True) -> ZeroTable:
         demanded = zero_count(t_max)
         if demanded != count:
             raise CertificationError(
-                f"imported table has {count} ordinates but the counting "
-                f"formula demands {demanded} below t_max={t_max}")
+                f"imported table has {count} ordinates but Turing's method "
+                f"counts {demanded} below t_max={t_max}")
     return ZeroTable(ordinates, t_max, accuracy, certified=certify)
 
 

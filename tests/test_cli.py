@@ -55,6 +55,13 @@ class TestZerosCommand:
         assert code == 1
         assert "ascending" in err
 
+    def test_import_nan_ordinate_exits_one(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# zeta-zeros v1 t_max=30 accuracy=1e-09 count=3\n14.13\nnan\n25.01\n")
+        code, out, err = run_cli(["zeros", "import", "--in", str(bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 3: ordinate must be finite")
+
     @pytest.mark.parametrize("header", [
         "# zeta-zeros v1 t_max=nan accuracy=1e-09 count=0\n",
         "# zeta-zeros v1 t_max=-5 accuracy=1e-09 count=0\n",

@@ -82,6 +82,17 @@ class TestMellin:
                                   maxdegree=12))
             assert abs(G0.mellin(s) - ref) < 1e-12, s
 
+    @pytest.mark.parametrize("g", [G0, StepFunction(7.5), mconvolve(G0, bump(0.0, 0.5)),
+                                   G0.transpose()], ids=["bump", "step", "log-grid", "transposed"])
+    def test_two_dimensional_argument(self, g):
+        s = 0.5 + 1j * np.arange(6.0).reshape(2, 3) + np.array([[0.0], [0.25]])
+        got = g.mellin(s)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, g.mellin(s.ravel()).reshape(2, 3))
+        for idx in np.ndindex(s.shape):
+            want = g.mellin(complex(s[idx]))
+            assert abs(got[idx] - want) <= 1e-12 * max(1.0, abs(want)), idx
+
     def test_mellin_decay_envelope(self):
         # |ghat(c+it)| (1+|t|)^6 stays bounded: the far window cannot beat
         # the near window on any of the three reference lines.

@@ -17,9 +17,10 @@ from eflab.errors import CertificationError, DomainError, ParseError, PoleError
 from eflab.special import factorize, is_prime, log_gamma
 from eflab.weil import _primes_up_to
 from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _SCAN_REFINE, _SCAN_STEP,
-                        _TRACK_STEP, _TRACK_T0, ZeroTable, VonMangoldtSieve,
+                        _TURING_T0, ZeroTable, VonMangoldtSieve,
                         _bracket_moments, _certified_z, _em_terms_needed,
-                        _hardy_real, _hardy_z_many, _scan, _taylor_zeta,
+                        _gram_points, _hardy_real, _hardy_z_many,
+                        _rosser_blocks_needed, _scan, _taylor_zeta,
                         _zeta_em_batch, _zeta_line_grid, _zeta_line_many,
                         find_zeros, hardy_z, lambda_von_mangoldt, psi_sum,
                         read_zero_table, rs_theta, write_zero_table,
@@ -133,29 +134,11 @@ class TestFindZeros:
             find_zeros(2000.0)
 
 
-def track_grid(t):
-    """The uniform grid zero_count samples on its way up to t."""
-    n_steps = max(1, int(math.ceil((t - _TRACK_T0) / _TRACK_STEP)))
-    return np.linspace(_TRACK_T0, t, n_steps + 1)
-
-
-def tracked_raw(t, kernel):
-    """zero_count's counting-formula value with the track evaluated by kernel."""
-    ts = track_grid(t)
-    vals = kernel(ts)
-    tiny = np.abs(vals) < 1e-8
-    if tiny.any():
-        ts = ts.copy()
-        ts[tiny] += 0.003
-        vals[tiny] = _zeta_line_many(ts[tiny])
-    var = float(np.sum(np.angle(vals[1:] / vals[:-1])))
-    return (rs_theta(t) - rs_theta(_TRACK_T0) + var) / math.pi
-
-
 class TestZetaLineGrid:
     @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
     def test_matches_direct_kernel_on_track(self, t):
-        ts = track_grid(t)
+        # step 0.01 from t = 6, a grid of about 100,000 samples at t = 1000
+        ts = np.linspace(6.0, t, int(math.ceil((t - 6.0) / 0.01)) + 1)
         # ragged last block and last chunk
         assert ts.size % _GRID_BLOCK and ts.size % _LINE_CHUNK
         grid = _zeta_line_grid(ts)
@@ -276,28 +259,70 @@ class TestZeroCount:
         assert zero_count(50.0) == len(zeros50)
         assert zero_count(200.0) == len(zeros200)
 
-    @pytest.mark.parametrize("t", [14.2, 250.5, 500.5, 999.99])
+    @pytest.mark.parametrize("t", [14.2, 250.5, 500.5, 999.99, 1000.0])
     def test_against_mpmath_nzeros(self, t):
         assert zero_count(t) == mp.nzeros(t)
 
-    @pytest.mark.parametrize("t", [14.2, 100.0, 500.5, 999.99])
-    def test_count_is_sign_changes_on_the_track(self, t):
-        # zeta = e^(-i theta) Z on the line, so the tracked phase is -theta
-        # plus pi per sign change of Z: the count is the track's sign changes
-        ts = track_grid(t)
-        z = _hardy_real(_zeta_line_grid(ts), ts)
-        assert zero_count(t) == int(np.sum(np.sign(z[:-1]) * np.sign(z[1:]) < 0))
+    @pytest.mark.parametrize("n", [126, 400, 646])
+    def test_at_gram_points_against_mpmath_nzeros(self, n):
+        # g_126 is the first Gram point where Gram's law fails
+        t = float(mp.grampoint(n))
+        assert zero_count(t) == mp.nzeros(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.floats(min_value=6.0, max_value=1000.0))
+    def test_counts_the_ordinates_of_one_table(self, zeros1000, t):
+        assert zero_count(t) == np.searchsorted(zeros1000.ordinates, t, side="right")
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_rejected(self, t):
         with pytest.raises(DomainError, match="finite"):
             zero_count(t)
 
-    def test_grid_track_matches_direct_track(self):
-        raw_direct = tracked_raw(300.0, _zeta_line_many)
-        raw_grid = tracked_raw(300.0, _zeta_line_grid)
-        assert zero_count(300.0) == round(raw_direct)
-        assert abs(raw_grid - raw_direct) <= 1e-9
+    def test_missed_pair_goes_through_the_rescan(self, monkeypatch):
+        # The 0.08 scan separates every pair below t = 1000, so a coarse step
+        # whose refinement is 0.08 stands in for a missed close pair.
+        steps = []
+        scan = zeta._scan
+        monkeypatch.setattr(zeta, "_scan", lambda t, step: steps.append(step) or scan(t, step))
+        monkeypatch.setattr(zeta, "_SCAN_STEP", _SCAN_STEP * _SCAN_REFINE)
+        assert zero_count(500.5) == mp.nzeros(500.5)
+        assert steps == [_SCAN_STEP * _SCAN_REFINE, _SCAN_STEP]
+
+    def test_rescan_that_misses_pairs_raises(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_SCAN_STEP", 8.0)
+        with pytest.raises(CertificationError, match="Turing's method at Gram point"):
+            zero_count(500.5)
+
+    def test_rosser_failure_raises(self, monkeypatch):
+        # Erase the two sign changes of the first Gram block of length 2
+        # above t = 600 from the scan grid, at either step: the squeeze below
+        # the block still holds, Rosser's rule on the block fails.
+        js = math.ceil(rs_theta(600.0) / math.pi) + np.arange(40)
+        gs = _gram_points(js, 600.0)
+        good = np.where(js % 2, -1.0, 1.0) * hardy_z(gs) > 0.0
+        m = next(i for i in range(1, js.size - 1) if good[i - 1] and not good[i] and good[i + 1])
+        lo, hi = gs[m - 1], gs[m + 1]
+        sign = np.sign(hardy_z(lo))
+        grid_kernel = zeta._zeta_line_grid
+
+        def erased(ts):
+            vals = grid_kernel(ts)
+            inside = (ts > lo) & (ts < hi)
+            vals[inside] = sign * np.exp(-1j * rs_theta(ts[inside]))
+            return vals
+
+        monkeypatch.setattr(zeta, "_zeta_line_grid", erased)
+        with pytest.raises(CertificationError, match=r"lengths \[2, .*\] show \[0, "):
+            zero_count(lo - 0.01)
+
+    def test_theta_slope_below_the_rosser_bound_slope(self):
+        # The bound on K uses theta'(t) < log(t / 2 pi) / 2 from 168 pi up.
+        from eflab.special import LOG_PI, digamma
+        ts = np.linspace(_TURING_T0, 1100.0, 500)
+        slope = 0.5 * np.real(digamma(0.25 + 0.5j * ts)) - 0.5 * LOG_PI
+        assert np.all(slope < 0.5 * np.log(ts / (2.0 * math.pi)))
+        assert np.all(np.ceil(_rosser_blocks_needed(ts)) == 2)
 
 
 class TestFunctionalEquation:
@@ -488,6 +513,19 @@ class TestZeroTableIO:
         assert back.t_max == t_max and back.count == table.count
         assert np.array_equal(back.ordinates, table.ordinates)
         assert back.ordinates.tobytes() == table.ordinates.tobytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_ordinate_rejected(self, bad):
+        text = f"# zeta-zeros v1 t_max=30 accuracy=1e-09 count=3\n14.13\n{bad}\n25.01\n"
+        with pytest.raises(ParseError, match="line 3: ordinate must be finite"):
+            read_zero_table(text)
+
+    @pytest.mark.parametrize("ords,t_max", [([14.13, math.nan, 25.01], 30.0),
+                                            ([math.nan], 30.0), ([14.13, math.nan], 30.0),
+                                            ([14.13], math.nan)])
+    def test_zero_table_rejects_nan(self, ords, t_max):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            ZeroTable(np.array(ords), t_max, 1e-9)
 
     def test_hand_built_table_not_certified(self):
         t = ZeroTable(np.array([14.13, 21.02]), 25.0, 1e-9)
