@@ -245,12 +245,14 @@ def conductor_apply(phi: LevelFunction) -> LevelFunction:
 
 
 def _check_cusp_level(p: int, n: int) -> None:
-    if not is_prime(p):
-        raise DomainError(f"not a prime: {p}")
     if n < 1:
         raise DomainError("cusp space needs level n >= 1")
-    if p ** n > LEVEL_SIZE_MAX:
-        raise DomainError(f"p^n = {p ** n} exceeds the desk-scale cap {LEVEL_SIZE_MAX}")
+    # The cap before primality, so a large p fails at once; p >= 2 makes
+    # p^b > LEVEL_SIZE_MAX for b its bit length, so a large n needs no big power.
+    if p >= 2 and p ** min(n, LEVEL_SIZE_MAX.bit_length()) > LEVEL_SIZE_MAX:
+        raise DomainError(f"p^n = {p}^{n} exceeds the desk-scale cap {LEVEL_SIZE_MAX}")
+    if not is_prime(p):
+        raise DomainError(f"not a prime: {p}")
 
 
 def _cusp_basis_rows(p: int, n: int) -> np.ndarray:

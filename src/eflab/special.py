@@ -21,6 +21,7 @@ argument to Re(1 - z) > 1, so no argument takes more than ten steps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ TWO_PI = 2.0 * math.pi
 #: Pole-detection radius: arguments closer than this to a pole raise PoleError
 #: instead of returning a huge value.
 POLE_TOL = 1e-12
+
+#: Miller-Rabin with the first 13 primes as bases is exact below the
+#: smallest strong pseudoprime to all of them (Sorenson and Webster, Math.
+#: Comp. 86 (2017)); the first 12 primes, 2..37, are exact below 3.2e23 only.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_MAX = 3_317_044_064_679_887_385_961_981
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -63,8 +70,32 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division (desk-scale inputs)."""
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Deterministic Miller-Rabin primality test with the bases _MR_BASES.
+
+    Exact for n < PRIME_TEST_MAX (about 3.3e24); DomainError above it.
+    """
+    n = operator.index(n)
+    if n >= PRIME_TEST_MAX:
+        raise DomainError(f"primality is decided only below {PRIME_TEST_MAX}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

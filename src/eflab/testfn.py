@@ -11,7 +11,8 @@ log-derivations, sampled multiplicative convolutions on a uniform log grid).
 
 The Mellin transform here is ghat(s) = int_0^inf g(u) u^s du/u, computed on
 the log axis as int F(x) e^{sx} dx with composite Gauss-Legendre panels whose
-node density tracks |Im s|; step functions use the closed form (X^s - 1)/s.
+node density tracks |Im s|, summed at many s at once by expsum's Taylor
+moments; step functions use the closed form (X^s - 1)/s.
 
 Conventions fixed by the calculus:
 
@@ -32,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import expsum
 from .errors import AdmissibilityError, DomainError, ParseError
 from .quadrature import panel_nodes
 
@@ -41,11 +43,8 @@ CONV_SPACING = 1.0 / 512.0
 _MELLIN_CHUNK = 512
 #: Taylor radius |s - c| * max|x - x0| inside a moment window.
 _MOMENT_RHO = 2.0
-#: Taylor terms per window; _mellin_sum bounds the rest.
-_MOMENT_TERMS = 26
 #: Calls with fewer ordinates take the direct sum.
 _MOMENT_MIN_POINTS = 64
-_INV_FACTORIALS = np.array([1.0 / math.factorial(m) for m in range(_MOMENT_TERMS)])
 
 #: Points in the local Lagrange stencil of log-grid interpolation.
 _STENCIL = 8
@@ -63,18 +62,12 @@ def _mellin_direct(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _mellin_sum(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k F_k e^{s x_k} for every s in a 1-D array, by windowed Taylor moments.
 
-    With x0 the midpoint of the nodes, r half their span and u = x - x0, the
-    ordinates are split into windows of half-width at most h = rho/r along
-    Im s.  Around a window centre c,
-
-        sum_k F_k e^{s x_k} = e^{(s-c) x0} sum_m mom[m] ((s-c)/h)^m,
-        mom[m] = sum_k F_k e^{c x_k} (h u_k)^m / m!,
-
-    with every window's moments from one matrix product.  A point within h
-    of its centre has |(s-c) u_k| <= rho = 2, so the dropped terms m >= M = 26
-    are at most rho^M/M!/(1 - rho/(M+1)) < 2e-19 times
-    e^{|Re(s-c)| r} sum |F e^{Re s x}|; the centres share the median real
-    part, so on a vertical line that factor is 1 and elsewhere at most e^2.
+    With x0 the midpoint of the nodes and r half their span, the ordinates
+    are split into windows of half-width at most h = rho/r along Im s, and
+    expsum sums around each window's centre c: a point within h of it has
+    |(s-c)(x_k - x0)| <= rho = 2 (26 terms), and expsum's error scale is at
+    most e^{|Re(s-c)| r} sum |F e^{Re s x}|, where the factor is 1 on a
+    vertical line (the centres share the median real part) and at most e^2.
     Calls with fewer than _MOMENT_MIN_POINTS ordinates, more than three
     windows per four ordinates or a non-finite ordinate, and points farther
     than h from their centre, take the direct sum.
@@ -96,29 +89,12 @@ def _mellin_sum(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
            else np.zeros(s.size, dtype=np.intp))
     sigma = s.real[0] if np.all(s.real == s.real[0]) else np.median(s.real)
     c = sigma + 1j * (lo + (np.arange(n_win) + 0.5) * width)
-    hu = h * (x - x0)
-    powers = np.empty((_MOMENT_TERMS, x.size))
-    powers[0] = 1.0
-    for m in range(1, _MOMENT_TERMS):
-        np.multiply(powers[m - 1], hu, out=powers[m])
-    powers[2:] *= _INV_FACTORIALS[2:, None]
-    # mom[m, w]: the complex (N, w) phase block viewed as (N, 2w) reals, so
-    # each chunk of windows costs one real matrix-matrix product.
-    mom = np.concatenate([
-        (powers @ (F[:, None] * np.exp(np.multiply.outer(x, c[k:k + _MELLIN_CHUNK])))
-         .view(np.float64)).view(complex)
-        for k in range(0, n_win, _MELLIN_CHUNK)], axis=1)
+    mom = expsum.moments(x, F, c, x0, h, expsum.terms(_MOMENT_RHO))
     d = s - c[idx]
     near = np.abs(d) <= h
     dn = d[near]
-    v = dn / h
-    coef = mom[:, idx[near]]
-    acc = coef[-1].copy()
-    for m in range(_MOMENT_TERMS - 2, -1, -1):
-        acc *= v
-        acc += coef[m]
     out = np.empty(s.shape, dtype=complex)
-    out[near] = np.exp(dn * x0) * acc
+    out[near] = np.exp(dn * x0) * expsum.horner(mom[:, idx[near]], dn / h)
     if not near.all():
         out[~near] = _mellin_direct(x, F, s[~near])
     return out
@@ -260,17 +236,12 @@ class BumpCombination(TestFunction):
         return all(complex(t.amp).imag == 0 for t in self.terms)
 
     def support_log(self):
-        if not self.terms:
-            return (0.0, 0.0)
-        return (min(t.mu - t.sigma for t in self.terms),
-                max(t.mu + t.sigma for t in self.terms))
+        edges = self._breakpoints()
+        return (edges[0], edges[-1])
 
     def _breakpoints(self):
-        pts = set()
-        for t in self.terms:
-            pts.add(t.mu - t.sigma)
-            pts.add(t.mu + t.sigma)
-        return tuple(sorted(pts)) if pts else (0.0, 0.0)
+        edges = {e for t in self.terms for e in (t.mu - t.sigma, t.mu + t.sigma)}
+        return tuple(sorted(edges)) if edges else (0.0, 0.0)
 
     def profile_deriv(self, x, order: int):
         x = np.asarray(x, dtype=float)
@@ -326,8 +297,7 @@ class StepFunction(TestFunction):
         scalar = uu.ndim == 0
         uu = np.atleast_1d(uu).astype(float)
         if self.transposed:
-            base = StepFunction(self.X)
-            vals = base.evaluate(1.0 / uu) / uu
+            vals = self.transpose().evaluate(1.0 / uu) / uu
         else:
             vals = np.where((uu == 1.0) | (uu == self.X), 0.5,
                             np.where((uu > 1.0) & (uu < self.X), 1.0, 0.0))

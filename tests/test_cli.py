@@ -264,6 +264,17 @@ class TestWeilCommand:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert elapsed < 5.0
 
+    def test_seventeen_digit_prime_place_fails_fast(self):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eflab.cli", "weil", "--place",
+                               "10000000000000061", "--form", "direct",
+                               "--testfn", "bump:mu=0.7,sigma=0.6"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[1] == "w_10000000000000061,direct,0,0,,ok"
+        assert elapsed < 2.0
+
     def test_determinism(self):
         argv = ["weil", "--place", "r", "--form", "all",
                 "--testfn", "bump:mu=0.2,sigma=0.4"]
@@ -346,6 +357,17 @@ class TestConductorCommand:
     def test_size_cap(self):
         code, _, err = run_cli(["conductor", "--p", "3", "--n", "8"])
         assert code == 1 and "exceeds the desk-scale cap 2048" in err
+
+    @pytest.mark.parametrize("p,n", [("10000000000000061", "1"), ("2", "100000")])
+    def test_size_cap_fails_fast(self, p, n):
+        # the cap is tested before primality, and without forming p^n
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eflab.cli", "conductor",
+                               "--p", p, "--n", n], capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: p^n = {p}^{n} exceeds the desk-scale cap 2048\n"
+        assert elapsed < 2.0
 
     def test_size_cap_is_the_shared_constant(self, monkeypatch):
         monkeypatch.setattr(padic, "LEVEL_SIZE_MAX", 8)

@@ -7,9 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from eflab import special
 from eflab.errors import DomainError, PoleError
-from eflab.special import (EULER_GAMMA, Place, digamma, gamma_factor,
+from eflab.special import (EULER_GAMMA, PRIME_TEST_MAX, Place, digamma, gamma_factor,
                            factorize, is_prime, lambda_factor, log_gamma)
+from eflab.zeta import VonMangoldtSieve
 
 PI = math.pi
 
@@ -34,6 +36,37 @@ class TestPlace:
         assert is_prime(1000003)
         assert not is_prime(1000001)  # 101 * 9901
         assert not any(is_prime(n) for n in (-7, 0, 1))
+
+    def test_primality_agrees_with_the_sieve(self):
+        primes = set(VonMangoldtSieve.build(100_000).primes.tolist())
+        assert all(is_prime(n) == (n in primes) for n in range(100_001))
+
+    def test_carmichael_number_rejected(self):
+        assert not is_prime(561)
+
+    @pytest.mark.parametrize("n,bases", [
+        (3215031751, 4),                   # strong pseudoprime to 2, 3, 5, 7
+        (3825123056546413051, 11),         # ... to every prime base 2..31
+        (318665857834031151167461, 12),    # ... to every prime base 2..37
+    ])
+    def test_strong_pseudoprimes_rejected(self, n, bases, monkeypatch):
+        assert not is_prime(n)
+        # the first `bases` bases let n through, so the next one is needed
+        monkeypatch.setattr(special, "_MR_BASES", special._MR_BASES[:bases])
+        assert is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(10000000000000061) and is_prime(2**61 - 1)
+        assert is_prime(999999999999999999999743)  # the largest prime below 1e24
+        assert not is_prime(10000000000000061 * 1000003)
+
+    def test_primality_past_the_proven_range_raises(self):
+        assert not is_prime(PRIME_TEST_MAX - 1)
+        for n in (PRIME_TEST_MAX, 2**89 - 1):
+            with pytest.raises(DomainError, match="primality"):
+                is_prime(n)
+        with pytest.raises(DomainError):
+            Place.prime(2**89 - 1)
 
     def test_factorize(self):
         assert factorize(1) == []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from eflab import testfn
+from eflab import expsum, testfn
 from eflab.contour import BLOCK_WIDTH
 from eflab.errors import AdmissibilityError, DomainError, ParseError
 from eflab.quadrature import panel_nodes
@@ -405,7 +405,8 @@ _KERNEL_ORDINATES = st.one_of(
 
 
 class TestMellinKernel:
-    """The windowed Taylor-moment kernel against the direct sum on the same nodes."""
+    """testfn's windows over expsum's Taylor moments, against the direct sum
+    on the same nodes."""
 
     @settings(max_examples=120, deadline=None)
     @given(_KERNEL_FUNCTIONS, _KERNEL_ORDINATES)
@@ -430,6 +431,8 @@ class TestMellinKernel:
 
     @staticmethod
     def direct_calls(x, F, s):
+        """The kernel's value, the ordinates of each direct-sum call, and the
+        number of expsum moment builds."""
         calls = []
         direct = testfn._mellin_direct
 
@@ -437,9 +440,10 @@ class TestMellinKernel:
             calls.append(s.copy())
             return direct(x, F, s)
 
-        with mock.patch.object(testfn, "_mellin_direct", spy):
+        with mock.patch.object(testfn, "_mellin_direct", spy), \
+                mock.patch.object(expsum, "moments", wraps=expsum.moments) as moments:
             out = testfn._mellin_sum(x, F, s)
-        return out, calls
+        return out, calls, moments.call_count
 
     @staticmethod
     def nodes(g, s):
@@ -455,16 +459,16 @@ class TestMellinKernel:
     def test_small_calls_take_the_direct_sum(self, n):
         s = 0.5 + 1j * np.linspace(0.0, 100.0, n)
         x, F = self.nodes(G0, s)
-        out, calls = self.direct_calls(x, F, s)
-        assert len(calls) == 1 and np.array_equal(calls[0], s)
+        out, calls, builds = self.direct_calls(x, F, s)
+        assert len(calls) == 1 and np.array_equal(calls[0], s) and builds == 0
         assert np.array_equal(out, direct_mellin_sum(x, F, s))
 
     def test_contour_block_takes_only_moments(self):
         s = contour_block(40, 2.0)
         assert s.size >= testfn._MOMENT_MIN_POINTS
         x, F = self.nodes(G0, s)
-        out, calls = self.direct_calls(x, F, s)
-        assert calls == []
+        out, calls, builds = self.direct_calls(x, F, s)
+        assert calls == [] and builds == 1
         err = np.abs(out - direct_mellin_sum(x, F, s)) / kernel_scale(x, F, s)
         assert err.max() <= 1e-13
 
@@ -474,8 +478,8 @@ class TestMellinKernel:
         s = 0.5 + 1j * np.linspace(0.0, 50.0, 100)
         s[[3, 50, 97]] += 4.5
         x, F = self.nodes(G0, s)
-        out, calls = self.direct_calls(x, F, s)
-        assert len(calls) == 1 and np.array_equal(calls[0], s[[3, 50, 97]])
+        out, calls, builds = self.direct_calls(x, F, s)
+        assert len(calls) == 1 and np.array_equal(calls[0], s[[3, 50, 97]]) and builds == 1
         assert np.array_equal(out[[3, 50, 97]], direct_mellin_sum(x, F, s[[3, 50, 97]]))
         err = np.abs(out - direct_mellin_sum(x, F, s)) / kernel_scale(x, F, s)
         assert err.max() <= 1e-13
@@ -485,8 +489,8 @@ class TestMellinKernel:
         g = bump(-100.0, 0.5) + bump(100.0, 0.5)
         s = 0.5 + 1j * np.linspace(0.0, 200.0, 100)
         x, F = self.nodes(g, s)
-        out, calls = self.direct_calls(x, F, s)
-        assert len(calls) == 1 and np.array_equal(calls[0], s)
+        out, calls, builds = self.direct_calls(x, F, s)
+        assert len(calls) == 1 and np.array_equal(calls[0], s) and builds == 0
 
 
 #: A literal field: any float, written as the grammar allows (no '+'), or any text.

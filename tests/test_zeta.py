@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eflab import zeta
+from eflab import expsum, zeta
 from eflab.errors import CertificationError, DomainError, ParseError, PoleError
 from eflab.special import factorize, is_prime, log_gamma
 from eflab.weil import _primes_up_to
 from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _SCAN_REFINE, _SCAN_STEP,
                         _TURING_T0, ZeroTable, VonMangoldtSieve,
-                        _bracket_moments, _certified_z, _em_terms_needed,
+                        _add_em_tail, _certified_z, _em_terms_needed,
                         _gram_points, _hardy_real, _hardy_z_many,
-                        _rosser_blocks_needed, _scan, _taylor_zeta,
+                        _rosser_blocks_needed, _scan,
                         _zeta_em_batch, _zeta_line_grid, _zeta_line_many,
                         find_zeros, hardy_z, lambda_von_mangoldt, psi_sum,
                         read_zero_table, rs_theta, write_zero_table,
@@ -53,6 +53,14 @@ class TestZetaEM:
     def test_desk_scale_against_mpmath(self):
         for s in (0.5 + 1000j, 0.1 + 317.2j, 2.0 - 650j, 1.5):
             assert abs(zeta_em(s) - complex(mp.zeta(s))) < 1e-10, s
+
+    @pytest.mark.parametrize("s", [complex(0.5, math.inf), complex(0.5, -math.inf),
+                                   complex(math.nan, 0.0), complex(0.5, math.nan),
+                                   complex(math.inf, 1.0)])
+    def test_non_finite_argument_rejected(self, s):
+        for arg in (s, np.array([2.0, s])):
+            with pytest.raises(DomainError, match="finite"):
+                zeta_em(arg)
 
     def test_pole(self):
         with pytest.raises(PoleError):
@@ -91,6 +99,12 @@ class TestHardyZ:
     def test_even(self):
         for t in (3.7, 21.3):
             assert hardy_z(t) == hardy_z(-t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, t):
+        for arg in (t, np.array([14.0, t])):
+            with pytest.raises(DomainError, match="finite"):
+                hardy_z(arg)
 
     def test_sign_change_in_first_window(self):
         ts = np.linspace(14.0, 14.2, 21)
@@ -205,14 +219,20 @@ class TestLocator:
 
     @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
     def test_taylor_kernel_matches_direct(self, t):
+        # expsum's moments as the bisection builds them: x = -log n, F = 1,
+        # one centre per bracket, rho from the widest bracket
         lo, hi, _ = _scan(t, _SCAN_STEP)
         centres = 0.5 * (lo + hi)
         N = _em_terms_needed(float(hi[-1]))
-        mom = _bracket_moments(centres, N)
+        x = -np.log(np.arange(1, N, dtype=float))
+        M = expsum.terms(0.5 * float(np.max(hi - lo)) * math.log(N))
+        mom = expsum.moments(x, np.ones(x.size), 0.5 + 1j * centres, 0.0, 1.0, M)
         rng = np.random.default_rng(int(t))
         for _ in range(3):
             mid = lo + rng.uniform(size=lo.size) * (hi - lo)
-            fast = _hardy_real(_taylor_zeta(mom, centres, mid, N), mid)
+            zeta_mid = expsum.horner(mom, 1j * (mid - centres))
+            _add_em_tail(zeta_mid, 0.5 + 1j * mid, N)
+            fast = _hardy_real(zeta_mid, mid)
             assert np.max(np.abs(fast - _hardy_z_many(mid))) <= 1e-11
 
     def test_values_below_margin_are_the_direct_kernels(self, monkeypatch):
