@@ -17,7 +17,8 @@ On these finite arenas the module realizes:
     (G * g_nu)(1) is its |y| = 1 case;
   * the conductor operator H(phi) = log|t| phi + F(log|xi| F^{-1}(phi)),
     restricted to the cuspidal space V(p, n) where its spectrum is a set of
-    integer multiples of log p;
+    integer multiples of log p, solved block by block over the Dirichlet
+    characters of (Z/p^n)^x, with the dense matrix as the reference route;
   * the inversion I(phi)(t) = (1/|t|) phi(1/t), exact on cosets;
   * the local functional-equation and Mellin-Fourier cross-checks.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from .contour import VerticalLineIntegrator
 from .errors import AdmissibilityError, ConvergenceError, DomainError
 from .quadrature import panel_nodes
-from .special import EULER_GAMMA, LOG_2PI, Place, gamma_factor, is_prime
+from .special import EULER_GAMMA, LOG_2PI, Place, factorize, gamma_factor, is_prime
 from .testfn import TestFunction
 
 LEVEL_SIZE_MAX = 2048
@@ -313,29 +314,120 @@ class ConductorMatrix:
         return int(self.matrix.shape[0])
 
 
-def conductor_matrix(p: int, n: int) -> ConductorMatrix:
-    """M = E H(E)^T p^-n in real arithmetic: the basis E is real and log|xi|
-    is even, so H maps real functions to real ones."""
-    E = _cusp_basis_rows(p, n)
-    images = _conductor_rows(p, 0, n, E)
+def _real_images(p: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """H applied to a stack of real level-(0, n) rows, checked to be real.
+
+    log|xi| is even, so H maps real functions to real ones; an imaginary
+    residue above 1e-12 of the images' peak is a program error.
+    """
+    images = _conductor_rows(p, 0, n, rows)
     peak = float(np.max(np.abs(images), initial=0.0))
     residue = float(np.max(np.abs(images.imag), initial=0.0))
     if residue > 1e-12 * peak:
         raise RuntimeError(
             f"conductor images imaginary residue {residue:.2e} > 1e-12 of {peak:.2e}")
-    M = (E @ images.real.T) * p ** (-n)
+    return images.real
+
+
+def conductor_matrix(p: int, n: int) -> ConductorMatrix:
+    """M = E H(E)^T p^-n in real arithmetic, E the Helmert cusp basis.
+
+    The dense reference route, one FFT pair per basis vector and a dim x dim
+    matrix; cuspidal_spectrum computes the same operator by characters.
+    """
+    E = _cusp_basis_rows(p, n)
+    M = (E @ _real_images(p, n, E).T) * p ** (-n)
     defect = float(np.max(np.abs(M - M.T), initial=0.0))
     if defect > 1e-12:
         raise RuntimeError(f"conductor matrix Hermiticity defect {defect:.2e} > 1e-12")
     return ConductorMatrix(p, n, 0.5 * (M + M.T))
 
 
+def _powers(g: int, count: int, mod: int) -> np.ndarray:
+    """g^k mod `mod` for k = 0..count-1, by doubling the filled prefix."""
+    out = np.ones(count, dtype=np.int64)
+    s, gs = 1, g % mod
+    while s < count:
+        t = min(s, count - s)
+        out[s:s + t] = out[:t] * gs % mod  # g^(s+k) = g^s g^k
+        gs = gs * gs % mod
+        s += t
+    return out
+
+
+def _unit_group(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = (Z/p^n)^x in exponent coordinates, and the conductors of its dual.
+
+    Odd p: G is cyclic, residues[k] = g^k with g a primitive root mod p that
+    is also primitive mod p^2, hence mod every p^n (at p = 2, n = 1, G is
+    trivial and takes the same branch).  p = 2, n >= 2:
+    residues[a, b] = (-1)^a 5^b.  The DFT over these axes takes a function on
+    G to its sums against the conjugate characters, and conductor[idx] is the
+    exponent f of the conductor p^f of the character at frequency idx (0 only
+    for the trivial one at idx = 0): a character is trivial on 1 + p^f Z_p,
+    generated by g^((p-1) p^(f-1)) (by 5^(2^(f-2)) at p = 2, f >= 2), exactly
+    when p^(n-f) divides its frequency along the p-power axis.
+    """
+    size = p ** n
+    if p == 2 and n >= 2:
+        five = _powers(5, size // 4, size)
+        residues = np.stack([five, (-five) % size])
+        conductor = np.tile(n - _vp_table(2, size // 4), (2, 1))  # f = 2 at b = 0
+    else:
+        order = (p - 1) * p ** (n - 1)
+        qs = [q for q, _ in factorize(p - 1)]
+        g = next(a for a in range(1, p) if all(pow(a, (p - 1) // q, p) != 1 for q in qs))
+        if pow(g, p - 1, p * p) == 1:
+            g += p
+        residues = _powers(g, order, size)
+        conductor = n - _vp_table(p, order)  # vp[0] = n puts f = 0 at idx 0
+    conductor[(0,) * conductor.ndim] = 0
+    return residues, conductor
+
+
+def _character_blocks(p: int, n: int) -> dict[int, np.ndarray]:
+    """H on V(p, n) split by the characters chi of G = (Z/p^n)^x.
+
+    H commutes with the unit action, so V(p, n) is the orthogonal sum of the
+    chi-parts for chi nontrivial; for chi of conductor p^f the part is spanned
+    by e_v = chi-bar(x) on the cosets p^v x, v = 0..n-f.  With C_v the image
+    of the cusp-projected delta at p^v (n FFT pairs in all), unit
+    equivariance gives <e_w, H e_v> = |G| p^(-n-v-w) sum_x chi(x) C_v(p^w x),
+    and ||e_v||^2 = (p-1) p^(-v-1), so the normalised entry is
+    p^(-(v+w)/2) sum_x chi(x) C_v(p^w x): one DFT over G per shell w.
+    Returns {f: blocks} for f = 1..n, blocks of shape
+    (phi(p^f) - phi(p^(f-1)), n-f+1, n-f+1), each Hermitian to 1e-12.
+    """
+    _check_cusp_level(p, n)
+    size = p ** n
+    residues, conductor = _unit_group(p, n)
+    shells = _vp_table(p, size)[None, :] == np.arange(n)[:, None]  # the 0-coset is in none
+    rows = shells / -shells.sum(axis=1, keepdims=True)
+    rows[np.arange(n), p ** np.arange(n)] += 1.0
+    images = _real_images(p, n, rows)
+    at = (p ** np.arange(n)).reshape((n,) + (1,) * residues.ndim) * residues % size
+    axes = tuple(range(2, 2 + residues.ndim))
+    sums = np.fft.fftn(images[:, at], axes=axes).reshape(n, n, -1)  # (v, w, chi-bar)
+    scale = float(p) ** (-np.arange(n) / 2.0)
+    sums *= np.outer(scale, scale)[:, :, None]
+    sums = sums.transpose(2, 1, 0)  # (chi-bar, w, v)
+    conductor = conductor.ravel()
+    blocks = {f: sums[conductor == f, :n - f + 1, :n - f + 1] for f in range(1, n + 1)}
+    defect = max((float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)), initial=0.0))
+                  for b in blocks.values()), default=0.0)
+    if defect > 1e-12:
+        raise RuntimeError(f"character block Hermiticity defect {defect:.2e} > 1e-12")
+    return blocks
+
+
 def cuspidal_spectrum(p: int, n: int) -> np.ndarray:
-    """Ascending eigenvalues of H on V(p, n); multiples of log p by the theory."""
-    cm = conductor_matrix(p, n)
-    if cm.dim == 0:
-        return np.empty(0)
-    return np.linalg.eigvalsh(cm.matrix)
+    """Ascending eigenvalues of H on V(p, n); multiples of log p by the theory.
+
+    One eigensolve per conductor on the stacked character blocks, each at
+    most n x n; no dim x dim matrix is formed.
+    """
+    blocks = _character_blocks(p, n).values()  # f = 1..n, some stacks empty
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
 
 
 def inversion(phi: LevelFunction) -> LevelFunction:

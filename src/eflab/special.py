@@ -45,28 +45,73 @@ PRIME_TEST_MAX = 3_317_044_064_679_887_385_961_981
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as ascending (p, e) pairs, by trial division.
+    """Prime factorization of n >= 1 as ascending (p, e) pairs.
 
-    Meant for single integers, which may exceed the sieve's range (a prime
-    place read from the command line); ranges of n go through
-    zeta.VonMangoldtSieve.
+    Trial division by the primes up to 41, then by odd f >= 43, which stops
+    as soon as the cofactor left is a prime or a prime power (is_prime on it
+    and on its exact integer roots): a prime or a prime power times a small
+    number is answered at once, while a cofactor with two large prime
+    factors still takes about half the smaller one in steps.  Meant for
+    single integers, which may exceed the sieve's range (a prime place read
+    from the command line); ranges of n go through zeta.VonMangoldtSieve.
     """
     if n < 1:
         raise DomainError(f"factorize needs n >= 1, got {n}")
     out = []
     m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
+    for f in _MR_BASES:
+        e = 0
+        while m % f == 0:
+            m //= f
+            e += 1
+        if e:
             out.append((f, e))
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append((m, 1))
+    f = _MR_BASES[-1] + 2  # every prime factor of m is at least f
+    while m > 1:
+        tail = (m, 1) if f * f > m else _prime_power(m, f)
+        if tail is not None:
+            out.append(tail)
+            break
+        while f * f <= m and m % f:
+            f += 2
+        e = 0
+        while m % f == 0:
+            m //= f
+            e += 1
+        if e:
+            out.append((f, e))
     return out
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _prime_power(m: int, least: int) -> tuple[int, int] | None:
+    """(r, k) if m = r^k with r prime, else None (also when undecidable).
+
+    Every prime factor of m is at least `least`, so an exact j-th root needs
+    least^j <= m.  A perfect power is replaced by its root with the smallest
+    such j until the base is prime or no root is exact.
+    """
+    k = 1
+    while m >= PRIME_TEST_MAX or not is_prime(m):
+        j = 2
+        while least ** j <= m:
+            r = _integer_root(m, j)
+            if r ** j == m:
+                break
+            j += 1
+        else:
+            return None
+        m, k = r, k * j
+    return m, k
 
 
 def is_prime(n: int) -> bool:

@@ -321,7 +321,6 @@ class TestBlasThreadDeterminism:
         self.assert_same_bytes(["weil", "--place", "3", "--form", "all",
                                 "--testfn", self.LITERAL])
 
-    @pytest.mark.xfail(reason="ROADMAP item 2")
     def test_conductor(self):
         self.assert_same_bytes(["conductor", "--p", "2", "--n", "9"])
 

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from eflab import weil
+from eflab import padic, weil
 from eflab.errors import AdmissibilityError, DomainError
 from eflab.padic import (_INVERSION_SIZE_MAX, GAUSSIAN, LevelFunction, RealTestInput,
-                         ShellFunction, _admissibility_scale, _conductor_rows,
-                         _cusp_basis_rows, _vp_table,
+                         ShellFunction, _admissibility_scale, _character_blocks,
+                         _conductor_rows, _cusp_basis_rows, _unit_group, _vp_table,
                          additive_character, closed_form_spectrum,
                          commutation_check, conductor_apply, conductor_matrix,
                          cusp_project,
@@ -337,7 +337,7 @@ class TestConductorKernel:
         E = _cusp_basis_rows(3, 3)
         assert np.array_equal(np.array([e.coeffs for e in cusp_space_basis(3, 3)]), E)
 
-    @pytest.mark.parametrize("p,n", BENCH_LEVELS + ((3, 6),))
+    @pytest.mark.parametrize("p,n", BENCH_LEVELS + ((3, 6), (2, 11), (43, 2), (7, 3)))
     def test_eigenvalues_match_closed_form(self, p, n):
         ev = cuspidal_spectrum(p, n)
         closed = closed_form_spectrum(p, n)
@@ -366,6 +366,56 @@ class TestConductorKernel:
         lhs = conductor_apply(unit_action(phi, u))
         rhs = unit_action(conductor_apply(phi), u)
         assert level_distance(lhs, rhs) <= 1e-12 * math.sqrt(phi.norm_sq())
+
+
+class TestCharacterBlocks:
+    @pytest.mark.parametrize("p,n", BENCH_LEVELS)
+    def test_spectrum_matches_dense_eigensolve(self, p, n):
+        dense = np.linalg.eigvalsh(conductor_matrix(p, n).matrix)
+        assert np.max(np.abs(cuspidal_spectrum(p, n) - dense)) <= 1e-12
+
+    # (5, 5) is over the cap
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(1, 6)
+                                     if p ** n <= 2048])
+    def test_characters_per_conductor(self, p, n):
+        blocks = _character_blocks(p, n)
+        assert sorted(blocks) == list(range(1, n + 1))
+        totient = [1] + [p ** (f - 1) * (p - 1) for f in range(1, n + 1)]
+        for f, b in blocks.items():
+            assert b.shape == (totient[f] - totient[f - 1], n - f + 1, n - f + 1)
+        assert sum(b.shape[0] * b.shape[1] for b in blocks.values()) == p ** n - 1 - n
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 9), (3, 1), (3, 5),
+                                     (7, 3), (499, 1)])
+    def test_unit_group_lists_every_unit_once(self, p, n):
+        residues, conductor = _unit_group(p, n)
+        assert conductor.shape == residues.shape
+        assert sorted(residues.ravel()) == [u for u in range(p ** n) if u % p]
+
+    @pytest.mark.parametrize("p,n", [(2, 9), (3, 5), (499, 1), (2, 11)])
+    def test_no_eigensolve_larger_than_n(self, p, n, monkeypatch):
+        shapes = []
+        eigvalsh = padic.np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(padic.np.linalg, "eigvalsh", recording)
+        assert cuspidal_spectrum(p, n).size == p ** n - 1 - n
+        assert shapes and max(max(s[-2:]) for s in shapes) <= n
+
+    def test_asymmetric_images_raise(self, monkeypatch):
+        rows = padic._conductor_rows
+
+        def perturbed(p, m, n, stack):
+            out = rows(p, m, n, stack)
+            out[0, p] += 1e-6  # H(delta_1) at p moves, H(delta_p) at 1 does not
+            return out
+
+        monkeypatch.setattr(padic, "_conductor_rows", perturbed)
+        with pytest.raises(RuntimeError, match="character block Hermiticity"):
+            cuspidal_spectrum(3, 3)
 
 
 def _inversion_by_cosets(phi):

@@ -72,8 +72,27 @@ class TestPlace:
         assert factorize(1) == []
         assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
         assert factorize(2 * 1000003) == [(2, 1), (1000003, 1)]
+        # two large prime factors: trial division up to the smaller one
+        assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
         with pytest.raises(DomainError):
             factorize(0)
+
+    #: a 17-digit prime: trial division took about 7 s to reach it
+    BIG = 10000000000000061
+
+    @pytest.mark.parametrize("n,want", [
+        (BIG, [(BIG, 1)]),
+        (BIG ** 2, [(BIG, 2)]),  # above PRIME_TEST_MAX: found by its square root
+        (6 * BIG ** 3, [(2, 1), (3, 1), (BIG, 3)]),
+        (43 ** 2 * 47 ** 3, [(43, 2), (47, 3)]),
+        (43 * 53 ** 2 * 1000003 ** 4, [(43, 1), (53, 2), (1000003, 4)]),
+        (1000003 ** 6, [(1000003, 6)]),  # a sixth power: square root, then cube root
+        (2 ** 100 * 3, [(2, 100), (3, 1)]),
+    ])
+    def test_factorize_stops_at_a_prime_power(self, n, want):
+        start = time.perf_counter()
+        assert factorize(n) == want
+        assert time.perf_counter() - start < 0.1
 
 
 class TestLogGamma:

@@ -2,6 +2,7 @@
 positivity, reciprocal sums, and the rational-shift symmetry."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from eflab.errors import AdmissibilityError, CertificationError, DomainError
 from eflab.padic import g_apply, haran_term, RealTestInput
 from eflab.special import EULER_GAMMA, LOG_PI, Place
 from eflab.testfn import StepFunction, autocorrelate, bump
-from eflab.zeta import ZeroTable
+from eflab.zeta import VonMangoldtSieve, ZeroTable
 
 from conftest import CORPUS, G0
 
@@ -329,6 +330,23 @@ class TestSymmetryShift:
     def test_log_abs_places_values(self, q, want):
         # exact values: the shared factorization must not change a bit
         assert weil.log_abs_places(q) == want
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_log_abs_places_fail_fast_at_a_large_prime_power(self, k):
+        # trial division took 7.2 s at k = 1
+        p = 10000000000000061
+        start = time.perf_counter()
+        rows = weil.log_abs_places(p ** k)
+        assert time.perf_counter() - start < 0.1
+        assert rows == [(str(p), -k * math.log(p)), ("r", math.log(float(p ** k)))]
+
+    def test_log_abs_places_match_the_sieve(self):
+        # one prime place per prime power n <= 1e5, carrying -log|n|_p = -Lambda(n) k
+        sieve = VonMangoldtSieve.build(10 ** 5)
+        for n, lam in sieve.entries:
+            rows = weil.log_abs_places(n)
+            assert len(rows) == 2 and math.log(int(rows[0][0])) == lam, n
+            assert rows[0][1] == -round(math.log(n) / lam) * lam, n
 
 
 class TestReports:

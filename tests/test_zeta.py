@@ -4,6 +4,7 @@ and the zero-table text format."""
 import hashlib
 import io
 import math
+import time
 from functools import lru_cache
 
 import mpmath as mp
@@ -409,6 +410,14 @@ class TestVonMangoldt:
             assert [p for p, _ in pairs] == sorted(p for p, _ in pairs)
             assert lambda_von_mangoldt(n) == lam.get(n, 0.0), n
             assert is_prime(n) == (n in primes), n
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lambda_fail_fast_at_a_large_prime_power(self, k):
+        # trial division took 6.8 s at k = 1
+        p = 10000000000000061
+        start = time.perf_counter()
+        assert lambda_von_mangoldt(p ** k) == math.log(p)
+        assert time.perf_counter() - start < 0.1
 
     def test_primes_up_to_reads_sieve(self):
         assert _primes_up_to(1) == []
