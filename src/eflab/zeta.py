@@ -26,10 +26,14 @@ every zero table.  Two cheaper kernels share its Euler-Maclaurin tail:
   matrix product for all brackets, then a Horner sum per pass.
 
 Every sign find_zeros and zero_count act on is the direct kernel's sign: a
-fast Z closer than _SIGN_MARGIN = 1e-9 to zero is replaced by the direct
-value (_certified_z).  The fast kernels differ from the direct Z by at most
-2.4e-12 up to t = 1000, about 400 times less than the margin, so zero tables
-are byte for byte those of the direct kernel.
+fast Z closer to zero than B(t, N), a proven bound on |Z_fast - Z_direct|
+(_sign_margin), is replaced by the direct value (_certified_z).  B assumes
+IEEE double arithmetic, libm's exp, sin, cos, log and pow within 2 ulps, and
+matrix products summed in any order; the rounding of the phases t log n
+dominates it.  For the Taylor kernel B is 1.1e-10 at t = 970, where the
+largest gap measured between the kernels is 2.4e-12 (2.9e-12 for the grid
+kernel up to t = 1000), so zero tables are byte for byte those of the direct
+kernel whatever order BLAS sums in.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ _SCAN_REFINE = 8
 _TURING_T0 = 168.0 * math.pi
 _LINE_CHUNK = 2048
 _GRID_BLOCK = 64
-#: A fast-kernel Z closer than this to zero gets its sign from the direct kernel.
-_SIGN_MARGIN = 1e-9
+#: Unit roundoff of IEEE double arithmetic.
+_U = 2.0 ** -53
 
 # B_{2k} / (2k)! for the Euler-Maclaurin tail, k = 1..12 (through B_24).
 _B2K = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
@@ -125,8 +129,10 @@ def _zeta_line_grid(ts: np.ndarray) -> np.ndarray:
     Same chunks and cuts N as _zeta_line_many.  Inside a chunk starting at
     t_c with step h, sample jB + k has n^(-i t) = n^(-i(t_c + jBh)) n^(-ikh), so
     the Dirichlet sum is one (J x N) @ (N x B) product: (J + B) N exponentials
-    instead of J B N.  Differs from the direct kernel by rounding of t and of
-    the product, measured <= 2.9e-12 on 0.01 grids from t = 6 up to t = 1000.
+    instead of J B N.  Sample jB + k is in effect taken at t_c + jBh + fl(kh),
+    which _grid_drift bounds against the sample itself; the gap to the direct
+    kernel, measured <= 2.9e-12 on 0.01 grids from t = 6 up to t = 1000, is
+    bounded by _sign_margin.
     """
     out = np.empty(ts.size, dtype=complex)
     h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
@@ -171,23 +177,116 @@ def _hardy_z_many(ts: np.ndarray) -> np.ndarray:
     return _hardy_real(_zeta_line_many(ta), ta)
 
 
-def _certified_z(ts: np.ndarray, zeta_fast: np.ndarray) -> np.ndarray:
-    """Z on an ascending array ts >= 0 from fast-kernel zeta values, with the
-    direct kernel's value wherever the fast |Z| is below _SIGN_MARGIN.
+def _grid_drift(ts: np.ndarray) -> float:
+    """A bound on how far _zeta_line_grid's phases on ts lie from ts_i log n,
+    per unit of log n.
 
-    The direct values use the cut N that _zeta_line_many takes at that sample
-    of ts, and each row of the direct sum is independent of the others, so
-    they are bit for bit those of _hardy_z_many(ts).  Every other fast value
-    lies at least 1e-9 from zero, over 400 times the largest gap measured
-    between the kernels, so its sign is the direct kernel's too.
+    The grid kernel takes sample i = m + k, m = jB the start of its block, at
+    ts_m + fl(kh): its phases are fl(ts_m L_n) and fl(L_n fl(kh)).  Let the
+    samples lie within 2u ts_i of an exact progression a + i delta, as
+    np.arange and np.linspace (and slices of them) give, and let t1 be the
+    largest.  Then ts_i - ts_m is within 4u t1 of k delta.
+    h = fl(fl(ts[-1] - ts[0]) / (size - 1)) is within 4u t1 / (size - 1) + 2u h
+    of delta, and k <= min(63, size - 1), so fl(kh) is within 4u t1 + 189u h
+    of k delta.  So ts_m + fl(kh) is within 8u t1 + 189u h of ts_i, and the
+    rounding of L_n fl(kh) adds 63u h L_n: (8 t1 + 256 h) u L_n in all.  The
+    rounding of ts_m L_n is _sign_margin's.
+    """
+    h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
+    return _U * (8.0 * float(ts[-1]) + 256.0 * abs(h))
+
+
+def _sign_margin(t, N: int, drift: float = 0.0):
+    """B(t, N), a bound on |Z_fast - Z_direct| at 0 <= t <= T_DESK_MAX when
+    the cuts the two kernels take at t lie in [_em_terms_needed(t), N] and
+    differ by at most 1; drift is the fast kernel's _grid_drift, 0 for the
+    Taylor kernel.
+
+        B = u ((2t + 1) S1 + (4N + 128) S0 + (t + 17) log N (10 T + 1)) + drift S1
+
+    with u = 2^-53, S0 = sum_{n<N} n^(-1/2), S1 = sum_{n<N} n^(-1/2) log n and
+    T = 0.11 + N^(1/2) / max(t, 1/2).  T bounds the sum of the moduli of the
+    Euler-Maclaurin tail's terms at any such cut N': N'^(1-s)/(s-1) gives
+    N'^(1/2)/|s - 1|, the Bernoulli terms less than 0.1 N'^(-1/2) (the first
+    is below N'^(-1/2)/13.8, and each next one below 0.04 times the last).
+
+    Assumptions: IEEE double arithmetic, rounding to nearest; libm's exp,
+    sin, cos, log and pow within 2 ulps, so that a complex exponential
+    e^x (cos y + i sin y) is within 9u of its value in modulus; np.log(n) has
+    the same bits in every kernel, which all take np.log(np.arange(1, N));
+    and each entry of a BLAS product is its products summed in some order,
+    with or without FMA, so that each real component is within
+    gamma_n = n u / (1 - n u) times the sum of its products' moduli (the
+    components combine by Minkowski's inequality).  Each kernel is set
+    against R(t) = sum_{n<N'} e^(-s L_n) + T_N'(s), s = 1/2 + it, where L_n
+    are the computed logs and T_N' is the exact tail at the kernel's cut N'.
+    Terms of second order (n u <= 3e-13 here) go into the constants' slack.
+
+    * Phases.  Each kernel rounds t L_n once (L_n / 2 is exact), and
+      |e^(ia) - e^(ib)| <= |a - b|, so the direct kernel is off by u t S1.
+      The Taylor kernel rounds c L_n at the bracket centre c, within 0.04 of
+      t, and takes t - c exactly (Sterbenz): the series multiplies each
+      perturbed e^(-(1/2 + ic) L_n) by e^(-i (t - c) L_n), of modulus 1, so
+      it is off by u (t + 0.04) S1.  The grid kernel is off by
+      u t S1 + drift S1.
+    * Exponentials.  9u S0 per exponential in each term: one for the direct
+      and Taylor kernels, two for the grid kernel.
+    * Sums.  The direct kernel's np.sum: gamma_N S0.  The grid kernel's
+      complex product: 2(N - 1) real products per component, and
+      |a_r c_r| + |a_i c_i| <= |a| |c|, so sqrt(2) gamma_2N S0.  The Taylor
+      kernel: the moments' dgemm (gamma_N), their powers L^m/m! (gamma_M+1)
+      and Horner's rule in v = i (t - c) (gamma_2M) weight term n by
+      sum_m (|v| L_n)^m / m! <= n^(w/2), w <= 0.08 the bracket width, so with
+      M <= 16 moments (expsum.terms) and N <= 1166 they take
+      (N + 3M) N^0.04 u S0 <= (1.33 N + 64) u S0; the moments' truncation
+      adds 3e-19 S0 (expsum).  With the direct kernel's, the sums take at
+      most 3.83 N u S0 (grid) or (2.33 N + 64) u S0 (Taylor), and the
+      exponentials, the tails' additions and the Hardy product below add at
+      most 27 + 26 + 4, within (4N + 128) u S0.
+    * Tail.  _add_em_tail forms N'^(-s) from fl(t fl(log N')), within
+      5 (t + 1/2) log N' u of its exponent, and each tail term with at most
+      60 more roundings; adding the 13 terms to the partial sums rounds 13
+      times more.  Per kernel: u ((5 (t + 1/2) log N + 69) T + 13 (S0 + T)).
+    * Cut.  When the cuts are N' and N' + 1, the exact tails differ by
+      N'^(-s) and the Euler-Maclaurin remainders through B_24 (each below
+      |s + 25| / 25.5 times the first omitted term, 1e-22 for t <= 1000), so
+      the two R differ by at most 2e-22 + |e^(-s L_N') - N'^(-s)|
+      <= 4 (t + 1/2) log N' / N'^(1/2) u < (t + 17) log N u.
+    * Hardy product.  Z = Re(zeta e^(i theta)) with e^(i theta) of the same
+      bits in both kernels (rs_theta is elementwise) and |zeta| <= S0 + T:
+      2 gamma_2 (S0 + T).
+
+    The tails, the cut and the Hardy product's T part sum to
+    u (10 (t + 1/2) log N T + 168 T + (t + 17) log N), and 168 <= 165 log N.
+    """
+    n = np.arange(1.0, N)
+    w = n ** -0.5
+    s0 = float(np.sum(w))
+    s1 = float(np.sum(w * np.log(n)))
+    tail = 0.11 + math.sqrt(N) / np.maximum(t, 0.5)
+    return (_U * ((2.0 * t + 1.0) * s1 + (4.0 * N + 128.0) * s0
+                  + (t + 17.0) * math.log(N) * (10.0 * tail + 1.0)) + drift * s1)
+
+
+def _certified_z(ts: np.ndarray, zeta_fast: np.ndarray, N: int,
+                 drift: float = 0.0) -> np.ndarray:
+    """Z on an ascending array ts >= 0 from fast-kernel zeta values, with the
+    direct kernel's value wherever the fast |Z| is below _sign_margin.
+
+    N is the largest cut either kernel takes on ts, drift the fast kernel's
+    _grid_drift (0 for the Taylor kernel).  The direct values use the cut that
+    _zeta_line_many takes at that sample of ts, and each row of the direct
+    sum is independent of the others, so they are bit for bit those of
+    _hardy_z_many(ts).  Every other fast value lies farther from zero than
+    its proven gap to the direct value, so its sign is the direct kernel's too.
     """
     z = _hardy_real(zeta_fast, ts)
-    near = np.flatnonzero(np.abs(z) < _SIGN_MARGIN)
+    near = np.flatnonzero(np.abs(z) < _sign_margin(ts, N, drift))
     chunk = near // _LINE_CHUNK
     for c in np.unique(chunk):
         sel = near[chunk == c]
-        N = _em_terms_needed(float(ts[min((c + 1) * _LINE_CHUNK, ts.size) - 1]))
-        z[sel] = _hardy_real(_zeta_em_batch(0.5 + 1j * ts[sel], N), ts[sel])
+        cut = _em_terms_needed(float(ts[min((c + 1) * _LINE_CHUNK, ts.size) - 1]))
+        z[sel] = _hardy_real(_zeta_em_batch(0.5 + 1j * ts[sel], cut), ts[sel])
     return z
 
 
@@ -239,7 +338,8 @@ def _scan(t_max: float, step: float):
     grid = np.arange(0.1, t_max, step)
     ts = np.append(grid, t_max)
     fast = np.append(_zeta_line_grid(grid) if grid.size else [], _zeta_line_many(ts[-1:]))
-    zs = _certified_z(ts, fast)
+    drift = _grid_drift(grid) if grid.size else 0.0
+    zs = _certified_z(ts, fast, _em_terms_needed(t_max), drift)
     exact = zs == 0.0
     if exact.any():
         ts[exact] += step * 1e-3
@@ -262,7 +362,7 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         zeta_mid = expsum.horner(mom, 1j * (mid - centres))
         _add_em_tail(zeta_mid, 0.5 + 1j * mid, N)
-        zm = _certified_z(mid, zeta_mid)
+        zm = _certified_z(mid, zeta_mid, N)
         right = np.sign(zm) == sign_lo
         lo = np.where(right, mid, lo)
         hi = np.where(right, hi, mid)
@@ -304,7 +404,7 @@ def zero_count(t: float) -> int:
 
     The signs at the Gram points and at t come from the direct kernel, those
     on the scan grid from the grid kernel with the direct kernel below
-    _SIGN_MARGIN.  A shortfall (a pair of zeros closer than the step, or a
+    _sign_margin.  A shortfall (a pair of zeros closer than the step, or a
     block short of Rosser's rule) triggers one rescan _SCAN_REFINE times
     finer; CertificationError if that falls short too.
     """
@@ -356,7 +456,9 @@ def _turing_certify(t: float, below: int, step: float) -> None:
     grid = grid[grid > t]
     ts = np.concatenate(([t], grid, gs[ends[0]:ends[-1] + 1]))
     # Z(t) bit for bit as _scan's last sample, so both sides of t read one sign.
-    zt = np.concatenate((_hardy_z_many(ts[:1]), _certified_z(grid, _zeta_line_grid(grid)),
+    zt = np.concatenate((_hardy_z_many(ts[:1]),
+                         _certified_z(grid, _zeta_line_grid(grid),
+                                      _em_terms_needed(float(grid[-1])), _grid_drift(grid)),
                          zg[ends[0]:ends[-1] + 1]))
     order = np.argsort(ts, kind="stable")
     ts, zt = ts[order], zt[order]

@@ -324,6 +324,11 @@ class TestBlasThreadDeterminism:
     def test_conductor(self):
         self.assert_same_bytes(["conductor", "--p", "2", "--n", "9"])
 
+    # The fast zeta kernels sum by matrix products; the sign margin holds for
+    # any summation order, so every sign is the direct kernel's.
+    def test_zeros_find(self):
+        self.assert_same_bytes(["zeros", "find", "--t-max", "1000"])
+
 
 class TestConductorCommand:
     def test_small_spectrum(self):

@@ -17,15 +17,16 @@ from eflab import expsum, zeta
 from eflab.errors import CertificationError, DomainError, ParseError, PoleError
 from eflab.special import factorize, is_prime, log_gamma
 from eflab.weil import _primes_up_to
-from eflab.zeta import (_GRID_BLOCK, _LINE_CHUNK, _SCAN_REFINE, _SCAN_STEP,
-                        _TURING_T0, ZeroTable, VonMangoldtSieve,
-                        _add_em_tail, _certified_z, _em_terms_needed,
-                        _gram_points, _hardy_real, _hardy_z_many,
-                        _rosser_blocks_needed, _scan,
-                        _zeta_em_batch, _zeta_line_grid, _zeta_line_many,
-                        find_zeros, hardy_z, lambda_von_mangoldt, psi_sum,
-                        read_zero_table, rs_theta, write_zero_table,
-                        zero_count, zero_table_to_string, zeta_em)
+from eflab.zeta import (T_DESK_MAX, _EM_COEF, _GRID_BLOCK, _LINE_CHUNK,
+                        _SCAN_REFINE, _SCAN_STEP, _TURING_T0, _U, ZeroTable,
+                        VonMangoldtSieve, _add_em_tail, _certified_z,
+                        _em_terms_needed, _grid_drift, _gram_points,
+                        _hardy_real, _hardy_z_many, _rosser_blocks_needed,
+                        _scan, _sign_margin, _zeta_em_batch, _zeta_line_grid,
+                        _zeta_line_many, find_zeros, hardy_z,
+                        lambda_von_mangoldt, psi_sum, read_zero_table,
+                        rs_theta, write_zero_table, zero_count,
+                        zero_table_to_string, zeta_em)
 
 
 def siegelz_scan_count(t_max, step=0.05):
@@ -211,38 +212,112 @@ TABLE_SHA256 = {
 }
 
 
+@lru_cache(maxsize=None)
+def scan_kernel_gap(t):
+    """The scan grid up to t, |Z_grid - Z_direct| there, and _sign_margin."""
+    grid = np.arange(0.1, t, _SCAN_STEP)
+    fast = _hardy_real(_zeta_line_grid(grid), grid)
+    bound = _sign_margin(grid, _em_terms_needed(grid[-1]), _grid_drift(grid))
+    return np.abs(fast - _hardy_z_many(grid)), bound
+
+
+@lru_cache(maxsize=None)
+def taylor_kernel_gap(t):
+    """|Z_Taylor - Z_direct| at three random points of each bracket below t,
+    with expsum's moments as the bisection builds them (x = -log n, F = 1,
+    one centre per bracket, rho from the widest bracket), and _sign_margin."""
+    lo, hi, _ = _scan(t, _SCAN_STEP)
+    centres = 0.5 * (lo + hi)
+    N = _em_terms_needed(float(hi[-1]))
+    x = -np.log(np.arange(1, N, dtype=float))
+    M = expsum.terms(0.5 * float(np.max(hi - lo)) * math.log(N))
+    mom = expsum.moments(x, np.ones(x.size), 0.5 + 1j * centres, 0.0, 1.0, M)
+    rng = np.random.default_rng(int(t))
+    gaps, bounds = [], []
+    for _ in range(3):
+        mid = lo + rng.uniform(size=lo.size) * (hi - lo)
+        zeta_mid = expsum.horner(mom, 1j * (mid - centres))
+        _add_em_tail(zeta_mid, 0.5 + 1j * mid, N)
+        gaps.append(np.abs(_hardy_real(zeta_mid, mid) - _hardy_z_many(mid)))
+        bounds.append(_sign_margin(mid, N))
+    return np.concatenate(gaps), np.concatenate(bounds)
+
+
 class TestLocator:
     @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
     def test_scan_kernel_matches_direct(self, t):
-        grid = np.arange(0.1, t, _SCAN_STEP)
-        fast = _hardy_real(_zeta_line_grid(grid), grid)
-        assert np.max(np.abs(fast - _hardy_z_many(grid))) <= 1e-11
+        assert np.max(scan_kernel_gap(t)[0]) <= 1e-11
 
     @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
     def test_taylor_kernel_matches_direct(self, t):
-        # expsum's moments as the bisection builds them: x = -log n, F = 1,
-        # one centre per bracket, rho from the widest bracket
-        lo, hi, _ = _scan(t, _SCAN_STEP)
-        centres = 0.5 * (lo + hi)
-        N = _em_terms_needed(float(hi[-1]))
-        x = -np.log(np.arange(1, N, dtype=float))
-        M = expsum.terms(0.5 * float(np.max(hi - lo)) * math.log(N))
-        mom = expsum.moments(x, np.ones(x.size), 0.5 + 1j * centres, 0.0, 1.0, M)
-        rng = np.random.default_rng(int(t))
-        for _ in range(3):
-            mid = lo + rng.uniform(size=lo.size) * (hi - lo)
-            zeta_mid = expsum.horner(mom, 1j * (mid - centres))
-            _add_em_tail(zeta_mid, 0.5 + 1j * mid, N)
-            fast = _hardy_real(zeta_mid, mid)
-            assert np.max(np.abs(fast - _hardy_z_many(mid))) <= 1e-11
+        assert np.max(taylor_kernel_gap(t)[0]) <= 1e-11
+
+    @pytest.mark.parametrize("t", [330.0, 650.0, 970.0, 1000.0])
+    @pytest.mark.parametrize("kernel_gap", [scan_kernel_gap, taylor_kernel_gap])
+    def test_margin_is_ten_times_the_measured_gap(self, t, kernel_gap):
+        # The proven bound is not vacuous: each kernel's gap stays below a tenth of it.
+        gap, bound = kernel_gap(t)
+        assert np.all(gap <= 0.1 * bound)
+
+    def test_margin_at_the_desk_cap(self):
+        # The Taylor kernel's bound at the cap, about a ninth of the flat 1e-9
+        # margin it replaced.
+        assert 5e-11 < _sign_margin(T_DESK_MAX, _em_terms_needed(T_DESK_MAX)) < 1.5e-10
+
+    def test_margin_assumptions_hold(self):
+        # np.log(n) has the same bits at every cut, and the complex
+        # exponential is within 9u of its value at the phases the kernels take.
+        logs = np.log(np.arange(1, 1200, dtype=float))
+        for N in (32, 33, 407, 1131, 1166):
+            assert np.array_equal(np.log(np.arange(1, N, dtype=float)), logs[:N - 1])
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(-4.0, 0.0, 300) + 1j * rng.uniform(-8500.0, 8500.0, 300)
+        with mp.workdps(40):
+            exact = [mp.exp(mp.mpc(z.real, z.imag)) for z in zs.tolist()]
+            err = [abs(mp.mpc(v.real, v.imag) - e) / abs(e) for v, e in zip(np.exp(zs), exact)]
+        assert float(max(err)) <= 9 * _U
+
+    def test_em_remainder_below_the_bound_slack(self):
+        # |s + 25| / 25.5 times the first term past B_24 bounds the
+        # Euler-Maclaurin remainder; it stays below 1e-21 up to the desk cap.
+        b26 = 8553103 / 6 / math.factorial(26)
+        assert len(_EM_COEF) == 12
+        for t in np.arange(0.0, T_DESK_MAX + 0.5, 0.5):
+            s, N = complex(0.5, t), _em_terms_needed(t)
+            log_poch = sum(math.log(abs(s + j)) for j in range(25))
+            assert abs(s + 25) / 25.5 * b26 * math.exp(log_poch - 25.5 * math.log(N)) < 1e-21
 
     def test_values_below_margin_are_the_direct_kernels(self, monkeypatch):
         # Three chunks, the last one short: each sample keeps its chunk's cut.
-        monkeypatch.setattr(zeta, "_SIGN_MARGIN", math.inf)
+        monkeypatch.setattr(zeta, "_sign_margin", lambda t, N, drift=0.0: math.inf)
         ts = np.append(np.arange(0.1, 330.0, _SCAN_STEP), 330.0)
         assert ts.size > 2 * _LINE_CHUNK
         fast = np.append(_zeta_line_grid(ts[:-1]), _zeta_line_many(ts[-1:]))
-        assert np.array_equal(_certified_z(ts, fast), _hardy_z_many(ts))
+        assert np.array_equal(_certified_z(ts, fast, _em_terms_needed(330.0)),
+                              _hardy_z_many(ts))
+
+    def test_bisection_rarely_needs_the_direct_kernel(self, monkeypatch):
+        # Each direct row costs about 1131 exponentials at t = 970; the 1e-9
+        # margin took 1850 rows in this bisection, the proven bound about 200.
+        rows, in_bisect = [], []
+        batch, bisect = zeta._zeta_em_batch, zeta._bisect
+
+        def counted_batch(s, N):
+            if in_bisect:
+                rows.append(s.size)
+            return batch(s, N)
+
+        def flagged_bisect(*args):
+            in_bisect.append(True)
+            try:
+                return bisect(*args)
+            finally:
+                in_bisect.clear()
+
+        monkeypatch.setattr(zeta, "_zeta_em_batch", counted_batch)
+        monkeypatch.setattr(zeta, "_bisect", flagged_bisect)
+        assert len(find_zeros(970.0)) == 624
+        assert sum(rows) <= 500
 
     @pytest.mark.parametrize("t", [14.2, 57.3, 100.0, 181.9, 250.0])
     def test_matches_reference_loop(self, t):
@@ -266,8 +341,11 @@ class TestLocator:
         assert text == zero_table_to_string(find_zeros(t))
 
     def test_forced_margin_is_the_direct_path(self, monkeypatch):
-        monkeypatch.setattr(zeta, "_SIGN_MARGIN", math.inf)
+        monkeypatch.setattr(zeta, "_sign_margin", lambda t, N, drift=0.0: math.inf)
         assert zero_table_to_string(find_zeros(100.0)) == reference_zero_table_text(100.0)
+        # above 168 pi, where the count reads the Gram blocks past t
+        text = zero_table_to_string(find_zeros(333.33))
+        assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[333.33]
 
 
 class TestZeroCount:
