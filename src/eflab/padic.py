@@ -777,7 +777,7 @@ def mellin_fourier_check(g: TestFunction, place: Place, x):
     def weight(svals):
         return np.exp((svals - 1.0) * logx) / gamma_factor(place, svals)
 
-    line = integ.integrate(weight)
+    line = integ.integrate(weight, ("mellin_fourier", place, logx))
     if abs(line - direct) > MELLIN_FOURIER_TOL:
         raise ConvergenceError(
             f"Mellin-Fourier bridge mismatch {abs(line - direct):.3e} > {MELLIN_FOURIER_TOL}")

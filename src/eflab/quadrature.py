@@ -3,6 +3,12 @@
 Panels are split at user-supplied breakpoints (support endpoints, kinks,
 removable singularities); node counts scale with panel length and with the
 oscillation rate of any e^{i*omega*x} factor in the integrand.
+
+Node counts are rounded up to a fixed ladder of rule sizes (``_rule_size``):
+multiples of 8 below 128 nodes, then 8 sizes per octave, capped at
+_MAX_PANEL_NODES.  The ladder has 58 sizes, so a process builds each
+Gauss-Legendre rule once however the lengths and rates vary; from 128 nodes
+up the rounding adds at most 12.5 % to the count asked for.
 """
 
 from __future__ import annotations
@@ -57,6 +63,13 @@ def _gl_rule(n: int):
     return nodes, weights
 
 
+def _rule_size(n: int) -> int:
+    """The smallest ladder size >= n: a multiple of 8 below 128, else a
+    multiple of 2^(floor(log2 n) - 3), capped at _MAX_PANEL_NODES."""
+    step = 8 if n < 128 else 1 << (n.bit_length() - 4)
+    return min(-(-n // step) * step, _MAX_PANEL_NODES)
+
+
 def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0):
     """Gauss-Legendre nodes/weights over [b_0, b_last] split at breakpoints.
 
@@ -80,9 +93,7 @@ def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0):
     for a, b, length, want in zip(bs[:-1], bs[1:], lengths, wanted):
         if length <= 1e-14:
             continue
-        n = int(np.ceil(want)) + 16
-        n = max(_MIN_PANEL_NODES, min(n, _MAX_PANEL_NODES))
-        n = ((n + 7) // 8) * 8  # quantize for rule-cache reuse
+        n = _rule_size(max(_MIN_PANEL_NODES, int(np.ceil(want)) + 16))
         x0, w0 = _gl_rule(n)
         xs.append(0.5 * (a + b) + 0.5 * length * x0)
         ws.append(0.5 * length * w0)

@@ -362,13 +362,19 @@ def lambda_factor(place: Place, s):
 
     Real place: log pi - psi(s/2)/2 - psi((1-s)/2)/2.
     Prime p:    log p * [p^(s-1)/(1-p^(s-1)) + p^(-s)/(1-p^(-s))].
+
+    When every point is on Re s = 1/2, (1-s)/2 is conj(s/2) bit for bit and
+    digamma is conjugate-symmetric bit for bit, so one digamma call gives the
+    same bits as two.
     """
     z0, scalar = _as_complex_array(s)
     z = np.atleast_1d(z0).astype(np.complex128)
     if np.any(z.real <= 0.0) or np.any(z.real >= 1.0):
         raise DomainError("lambda_factor: argument outside the open strip 0 < Re(s) < 1")
     if place.is_real:
-        out = LOG_PI - 0.5 * digamma(z / 2.0) - 0.5 * digamma((1.0 - z) / 2.0)
+        psi = digamma(z / 2.0)
+        psi_reflected = np.conj(psi) if np.all(z.real == 0.5) else digamma((1.0 - z) / 2.0)
+        out = LOG_PI - 0.5 * psi - 0.5 * psi_reflected
     else:
         p = place.p
         logp = math.log(p)

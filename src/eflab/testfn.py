@@ -113,6 +113,13 @@ def _inverse_vandermonde(m: int) -> np.ndarray:
     return inv
 
 
+#: Highest derivative order of the bump kernel.
+_KERNEL_MAX_ORDER = 3
+#: Narrowest bump width: sigma^_KERNEL_MAX_ORDER, which profile derivatives
+#: divide by, stays a normal float.
+_SIGMA_MIN = sys.float_info.min ** (1.0 / _KERNEL_MAX_ORDER)
+
+
 def _bump_kernel(xi: np.ndarray, order: int = 0) -> np.ndarray:
     """B(xi) = exp(-1/(1-xi^2)) inside (-1,1), zero outside; derivative orders <= 3."""
     xi = np.asarray(xi, dtype=float)
@@ -226,6 +233,11 @@ class BumpCombination(TestFunction):
         for t in self.terms:
             if not (math.isfinite(t.mu) and t.sigma > 0.0):
                 raise DomainError(f"bad bump term {t}")
+            if t.sigma < _SIGMA_MIN:
+                raise DomainError(f"bump sigma={t.sigma:g} is too narrow: sigma^"
+                                  f"{_KERNEL_MAX_ORDER} underflows below {sys.float_info.min:g}")
+        if not math.isfinite(sum(abs(complex(t.amp)) for t in self.terms)):
+            raise DomainError("bump amplitudes overflow: the sum of |amp| is not finite")
 
     @property
     def is_zero(self) -> bool:
@@ -594,4 +606,7 @@ def parse_test_function(text: str) -> TestFunction:
             raise ParseError(f"bump support edges e^(mu -+ sigma) leave the float range "
                              f"for mu={mu}, sigma={sigma}")
         terms.append(BumpTerm(complex(fields.get("amp", 1.0)), mu, sigma))
-    return BumpCombination(tuple(terms))
+    try:
+        return BumpCombination(tuple(terms))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None

@@ -78,7 +78,7 @@ def w_p_contour(g: TestFunction, p: int) -> complex:
         raise AdmissibilityError("w_p_contour needs a smooth test function")
     place = Place.prime(p)
     integ = VerticalLineIntegrator(g, weight_osc=math.log(p))
-    return integ.integrate(lambda s: lambda_factor(place, s))
+    return integ.integrate(lambda s: lambda_factor(place, s), place)
 
 
 # ----------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _w_r_pf(g: TestFunction) -> complex:
 def _w_r_contour(g: TestFunction) -> complex:
     place = Place.real()
     integ = VerticalLineIntegrator(g, weight_osc=1.0)
-    return integ.integrate(lambda s: lambda_factor(place, s))
+    return integ.integrate(lambda s: lambda_factor(place, s), place)
 
 
 def w_r(g: TestFunction, form: str = "finite") -> complex:

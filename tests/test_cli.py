@@ -132,23 +132,23 @@ class TestEfCommand:
         assert "prime_side_q" in out and "zero_side_q" in out
 
 
-#: `weil --form all --testfn bump:mu=0.7,sigma=0.6` output, recorded before a
-#: route that does not converge could be filed in the report.  The contour
-#: imaginary parts are exactly 0: the integrator closes the t < 0 half of
-#: the line by conjugation.
+#: `weil --form all --testfn bump:mu=0.7,sigma=0.6` output, re-recorded when
+#: panel node counts went onto a fixed ladder and the contour's rate was
+#: rounded up to an integer.  The contour imaginary parts are exactly 0: the
+#: integrator closes the t < 0 half of the line by conjugation.
 CONVERGED_REPORTS = {
     "r": ("quantity,method,value_re,value_im,tolerance,status\n"
           "w_r,finite,0.383686303281117,0,,ok\n"
           "w_r,series,0.383686303281117,0,,ok\n"
-          "w_r,pf,0.383686303281115,0,,ok\n"
-          "w_r,contour,0.383686303217932,0,,ok\n"
-          "w_r,convolution,0.383686303281115,0,,ok\n"
-          "w_r,spread,6.31852348220718e-11,0,,\n"),
+          "w_r,pf,0.383686303281119,0,,ok\n"
+          "w_r,contour,0.383686303217835,0,,ok\n"
+          "w_r,convolution,0.383686303281119,0,,ok\n"
+          "w_r,spread,6.3283933648961e-11,0,,\n"),
     "2": ("quantity,method,value_re,value_im,tolerance,status\n"
           "w_2,direct,0.254961331832263,0,,ok\n"
           "w_2,contour,0.254961331485039,0,,ok\n"
           "w_2,convolution,0.254961331832263,0,,ok\n"
-          "w_2,spread,3.47223860774903e-10,0,,\n"),
+          "w_2,spread,3.47223916286055e-10,0,,\n"),
 }
 
 
@@ -261,6 +261,25 @@ class TestWeilCommand:
         elapsed = time.perf_counter() - start
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: quadrature panel")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("place,literal,message", [
+        ("r", "bump:mu=0,sigma=1e-300", "sigma^3 underflows"),
+        ("2", "bump:mu=0.7,sigma=0.6,amp=1e308+mu=0.7,sigma=0.6,amp=1e308",
+         "sum of |amp| is not finite"),
+    ])
+    def test_overflowing_literal_fails_fast(self, place, literal, message):
+        # A sigma^3 of 0 ended in a ZeroDivisionError traceback; amplitudes
+        # summing to inf ran the contour to its cap on NaN blocks and filed
+        # the overflow as not_converged.
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eflab.cli", "weil", "--place", place,
+                               "--form", "all", "--testfn", literal],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and message in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert elapsed < 5.0
 

@@ -21,12 +21,13 @@ PRIMES = (2, 3, 5, 7)
 def two_sided_integral(g, weight_fn, weight_osc):
     """The block sum evaluated at both 1/2 + it and 1/2 - it, as a reference.
 
-    Each block has its own panel rule; the blocks are stacked in batches as
-    the integrator stacks them, so that ghat sees the same Mellin nodes, and
-    the sum stops after the same two consecutive small blocks.
+    Each block has its own panel rule, at the integrator's rate rounded up to
+    an integer; the blocks are stacked in batches as the integrator stacks
+    them, so that ghat sees the same Mellin nodes, and the sum stops after the
+    same two consecutive small blocks.
     """
     a, b = g.support_log()
-    osc = max(abs(a), abs(b)) + weight_osc
+    osc = math.ceil(max(abs(a), abs(b)) + weight_osc)
     total = 0.0 + 0.0j
     small = 0
     n_blocks = int(np.ceil(contour.T_CAP / BLOCK_WIDTH))
@@ -50,14 +51,14 @@ def place_weight(place):
 
 
 def captured_mellin_fourier_weights(monkeypatch, g, points):
-    """The weight functions mellin_fourier_check hands to the integrator at
-    each (place, x) of points."""
+    """The (weight function, key) pairs mellin_fourier_check hands to the
+    integrator at each (place, x) of points."""
     weights = []
     integrate = VerticalLineIntegrator.integrate
 
-    def recording(self, weight_fn):
-        weights.append(weight_fn)
-        return integrate(self, weight_fn)
+    def recording(self, weight_fn, key):
+        weights.append((weight_fn, key))
+        return integrate(self, weight_fn, key)
 
     monkeypatch.setattr(VerticalLineIntegrator, "integrate", recording)
     for place, x in points:
@@ -101,14 +102,14 @@ class TestAgainstTwoSidedSum:
     def test_local_weights(self, g):
         for place, osc in [(Place.real(), 1.0)] + [(Place.prime(p), math.log(p)) for p in PRIMES]:
             want = two_sided_integral(g, place_weight(place), osc)
-            got = VerticalLineIntegrator(g, osc).integrate(place_weight(place))
+            got = VerticalLineIntegrator(g, osc).integrate(place_weight(place), place)
             assert abs(got - want) <= 1e-12, place.label
 
     def test_mellin_fourier_weight(self, monkeypatch):
         g = CORPUS[-1]  # complex amplitude: the lower half needs conj(g)
-        (weight,) = captured_mellin_fourier_weights(monkeypatch, g, [(Place.prime(3), 1)])
+        ((weight, key),) = captured_mellin_fourier_weights(monkeypatch, g, [(Place.prime(3), 1)])
         osc = abs(-math.log(3.0)) + math.log(3.0)
-        got = VerticalLineIntegrator(g, osc).integrate(weight)
+        got = VerticalLineIntegrator(g, osc).integrate(weight, key)
         assert abs(got - two_sided_integral(g, weight, osc)) <= 1e-12
 
 
@@ -132,7 +133,7 @@ class TestWeightContract:
         points = [(Place.prime(2), v) for v in (0, -1, 1)] + [(Place.real(), 0.5), (Place.real(), 3.0)]
         weights = captured_mellin_fourier_weights(monkeypatch, G0, points)
         assert len(weights) == 5
-        for weight in weights:
+        for weight, _ in weights:
             self.assert_contract(weight, self.S)
 
 
@@ -163,12 +164,13 @@ class TestWork:
             weight_args.append(s)
             return lambda_factor(Place.prime(2), s)
 
-        VerticalLineIntegrator(g, math.log(2.0)).integrate(weight)
+        VerticalLineIntegrator(g, math.log(2.0)).integrate(weight, object())  # a cold key
         assert calls["panel_nodes"] == 1  # one t-rule for every block
         batches = calls["mellin"]
         assert len(batches) == len(weight_args) > 1
         half = 0.5 * BLOCK_WIDTH
-        rule, _ = panel_nodes((-half, half), density=8.0, osc=0.7 + 0.6 + math.log(2.0))
+        # the rate 0.7 + 0.6 + log 2 = 1.99 is rounded up to 2
+        rule, _ = panel_nodes((-half, half), density=8.0, osc=2)
         for b, ((fn, s), ws) in enumerate(zip(batches, weight_args)):
             assert fn is g and np.array_equal(s, ws)
             assert s.size == BATCH_BLOCKS * rule.size and np.all(s.real == 0.5)
@@ -180,8 +182,50 @@ class TestWork:
     def test_complex_bump_adds_the_conjugate(self, monkeypatch):
         g = CORPUS[-1]
         calls = self.count_calls(monkeypatch)
-        VerticalLineIntegrator(g, 1.0).integrate(place_weight(Place.real()))
+        VerticalLineIntegrator(g, 1.0).integrate(place_weight(Place.real()), Place.real())
         fns = [fn for fn, _ in calls["mellin"]]
         assert fns[0::2] == [g] * (len(fns) // 2)
         assert fns[1::2] == [g.conjugate()] * (len(fns) // 2)
         assert all(np.all(s.imag >= 0.0) for _, s in calls["mellin"])
+
+
+class TestWeightTable:
+    """The Lambda_nu weights tabulated per (key, rounded rate, batch)."""
+
+    #: Bumps whose rounded rate equals G0's at r (3), at 2 (2) and at 3 (3).
+    SAME_KEY = (bump(0.6, 0.5), bump(0.5, 0.7, amp=2.0), bump(0.75, 0.5, amp=-1.0))
+
+    @staticmethod
+    def routes(g):
+        return [weil.w_r(g, "contour")] + [weil.w_p_contour(g, p) for p in (2, 3)]
+
+    def test_cold_and_warm_values_are_bit_identical(self, monkeypatch):
+        for h in self.SAME_KEY:
+            for w_osc in (1.0, math.log(2.0), math.log(3.0)):
+                assert (VerticalLineIntegrator(h, w_osc)._osc
+                        == VerticalLineIntegrator(G0, w_osc)._osc)
+        contour._weight_table.clear()
+        cold = self.routes(G0)
+        contour._weight_table.clear()
+        for h in self.SAME_KEY:
+            self.routes(h)
+        calls = []
+
+        def counted(place, s):
+            calls.append(place)
+            return lambda_factor(place, s)
+
+        monkeypatch.setattr(weil, "lambda_factor", counted)
+        warm = self.routes(G0)
+        assert calls == []  # every batch came from the table
+        assert np.array_equal(np.array(warm).view(np.uint64), np.array(cold).view(np.uint64))
+
+    def test_bounded_by_a_constant(self):
+        bound = contour.WEIGHT_TABLE_BATCHES
+        integ = VerticalLineIntegrator(G0, 1.0)
+        for k in range(bound + 20):
+            integ.integrate(np.ones_like, ("bound", k))
+            assert len(contour._weight_table) <= bound
+        assert len(contour._weight_table) == bound
+        assert not any(key == ("bound", 0) for key, _, _ in contour._weight_table)
+        assert all(not W.flags.writeable for W in contour._weight_table.values())

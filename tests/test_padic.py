@@ -612,7 +612,7 @@ class TestWFieldPrimeShellSums:
                 ylog = -v * math.log(p)
                 integ = VerticalLineIntegrator(G0, weight_osc=math.log(p) + abs(ylog))
                 contour = integ.integrate(
-                    lambda s: lambda_factor(pl, s) * np.exp(-s * ylog))
+                    lambda s: lambda_factor(pl, s) * np.exp(-s * ylog), ("field", pl, v))
                 shell = w_field_prime(G0, p, v)
                 assert abs(shell - contour) <= 1e-6, (p, v)
 

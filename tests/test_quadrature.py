@@ -7,9 +7,14 @@ from scipy.special import roots_legendre
 from eflab.errors import DomainError
 from eflab.quadrature import _gl_rule, panel_nodes
 
-#: Every size panel_nodes builds below 1100 nodes (multiples of 8 from its
-#: 24-node minimum), plus large sizes up to the 6000-node panel cap.
-SIZES = list(range(24, 1097, 8)) + [2000, 4000, 6000]
+#: The rule sizes panel_nodes may build: multiples of 8 from its 24-node
+#: minimum below 128, then eight sizes per octave up to the 6000-node cap.
+LADDER = (list(range(24, 128, 8))
+          + [m << (e - 3) for e in range(7, 13) for m in range(8, 16) if m << (e - 3) < 6000]
+          + [6000])
+
+#: Every ladder size up to 1100 nodes, plus large sizes up to the panel cap.
+SIZES = [n for n in LADDER if n <= 1100] + [2000, 4000, 6000]
 
 
 def test_matches_reference_rule():
@@ -47,6 +52,16 @@ class TestPanelNodes:
     def test_non_finite_node_count_rejected(self, breaks, kw):
         with pytest.raises(DomainError, match="non-finite number of nodes"):
             panel_nodes(breaks, **kw)
+
+    def test_node_counts_are_ladder_sizes(self):
+        assert len(LADDER) == 58
+        seen = set()
+        for length in np.geomspace(1e-3, 200.0, 400):
+            for density, osc in ((8.0, 0.0), (64.0, 0.0), (8.0, 3.0), (64.0, 2400.0)):
+                x, _ = panel_nodes((0.0, length), density=density, osc=osc)
+                assert x.size in LADDER, (length, density, osc)
+                seen.add(x.size)
+        assert len(seen) >= 40
 
     def test_long_finite_panel_is_capped(self):
         x, w = panel_nodes((0.0, 1e300))

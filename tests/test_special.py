@@ -243,6 +243,16 @@ class TestLambdaFactor:
             for s in (0.3 + 4j, 0.45 - 11j, 0.62 + 0.1j):
                 assert abs(lambda_factor(pl, s) - lambda_factor(pl, 1.0 - s)) < 1e-11
 
+    def test_real_place_on_the_line_is_the_two_digamma_form_bitwise(self):
+        # On Re s = 1/2, psi((1-s)/2) is taken as conj(psi(s/2)); the bits must
+        # be those of the two-call form, on the line and off it.
+        t = np.concatenate([np.linspace(0.0, 2000.0, 40001), -np.linspace(0.0, 50.0, 501),
+                            np.random.default_rng(3).uniform(0.0, 2000.0, 4000)])
+        for s in (0.5 + 1j * t, np.append(0.5 + 1j * t[:100], 0.3 + 2j)):
+            two = math.log(PI) - 0.5 * digamma(s / 2.0) - 0.5 * digamma((1.0 - s) / 2.0)
+            got = lambda_factor(Place.real(), s)
+            assert np.array_equal(got.view(np.uint64), two.view(np.uint64))
+
     def test_out_of_strip(self):
         for s in (1.2, -0.1, 0.0, 1.0):
             with pytest.raises(DomainError):

@@ -46,6 +46,20 @@ class TestEvaluate:
         # B(0) = e^-1 at the center of a single bump
         assert abs(bump(0.0, 1.0).evaluate(1.0) - math.exp(-1.0)) < 1e-15
 
+    @pytest.mark.parametrize("build", [
+        lambda: bump(0.0, 1e-300),  # sigma^3 underflows to 0
+        lambda: bump(0.0, 1e-104),  # sigma^3 is subnormal
+        lambda: bump(0.7, 0.6, amp=1e308) + bump(0.7, 0.6, amp=1e308),
+        lambda: bump(0.7, 0.6, amp=1e308j) + bump(0.1, 0.6, amp=-1e308),
+    ])
+    def test_overflowing_bump_terms_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_narrowest_and_largest_bumps_accepted(self):
+        g = bump(0.0, 3e-103) + bump(0.7, 0.6, amp=8e307)
+        assert g.profile(np.array([0.0]))[0] == math.exp(-1.0)  # the narrow bump's centre
+
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             G0.evaluate(0.0)
@@ -519,6 +533,7 @@ class TestParse:
         "bump:mu=0,sigma=-1", "bump:mu=0,sigma=0.5,amp=1,amp=2", "",
         "bump:mu=0,sigma=inf", "bump:mu=1e308,sigma=1e308", "bump:mu=0,sigma=1,amp=nan",
         "bump:mu=nan,sigma=1", "bump:mu=705,sigma=5", "step:X=inf",
+        "bump:mu=0,sigma=1e-300", "bump:mu=0,sigma=1,amp=1e308+mu=1,sigma=1,amp=1e308",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(ParseError):

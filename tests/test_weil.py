@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from eflab import weil
 from eflab.errors import AdmissibilityError, CertificationError, DomainError
 from eflab.padic import g_apply, haran_term, RealTestInput
+from eflab.quadrature import _gl_rule
 from eflab.special import EULER_GAMMA, LOG_PI, Place
 from eflab.testfn import StepFunction, autocorrelate, bump
 from eflab.zeta import VonMangoldtSieve, ZeroTable
@@ -350,6 +351,17 @@ class TestSymmetryShift:
 
 
 class TestReports:
+    #: Distinct Gauss-Legendre rules the corpus's place reports build from a
+    #: cold cache (41 before node counts were put on a fixed ladder).
+    CORPUS_RULES = 27
+
+    def test_corpus_reports_build_few_rules(self):
+        _gl_rule.cache_clear()
+        for g in CORPUS:
+            for place in [Place.real()] + [Place.prime(p) for p in weil.prime_places(g)]:
+                weil.place_term_report(g, place)
+        assert _gl_rule.cache_info().currsize <= self.CORPUS_RULES
+
     def test_local_term_unknown_prime_method(self):
         with pytest.raises(DomainError, match="prime-place method"):
             weil.local_term(G0, Place.prime(2), "pf")
