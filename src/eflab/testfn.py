@@ -1,13 +1,15 @@
 """Test functions on the positive half-line and their multiplicative calculus.
 
-Two constructible kinds:
+Three kinds:
 
-  * smooth compactly supported combinations of log-axis bumps,
-    u -> sum_i a_i * B((log u - mu_i)/sigma_i) with B(x) = exp(-1/(1-x^2));
-  * the step function 1_(1,X) with midpoint values 1/2 at u = 1 and u = X.
-
-plus derived kinds produced by the operations themselves (transposes,
-log-derivations, sampled multiplicative convolutions on a uniform log grid).
+  * smooth compactly supported combinations of log-axis bump terms
+    (amp, mu, sigma, kappa, order), each u -> amp * e^{kappa x} *
+    d^order/dx^order B((x - mu)/sigma) at x = log u, with
+    B(x) = exp(-1/(1-x^2)); literals give kappa = 0 and order = 0, and
+    transposes and log-derivations of a combination are combinations again;
+  * the step function 1_(1,X) with midpoint values 1/2 at u = 1 and u = X,
+    and its transpose;
+  * samples on a uniform log grid, produced by multiplicative convolution.
 
 The Mellin transform here is ghat(s) = int_0^inf g(u) u^s du/u, computed on
 the log axis as int F(x) e^{sx} dx with composite Gauss-Legendre panels whose
@@ -20,6 +22,10 @@ Conventions fixed by the calculus:
   conj_reflect   g-check(u) = (1/u) conj(g(1/u)), Mellin s -> conj on 1-conj(s)
   derivation     (Dg)(u)    = -u g'(u),           Mellin multiplies by s
   mconvolve      (f*k)(u)   = int f(u/v) k(v) dv/v
+
+On a bump term, B being even, the transpose is (amp, mu, sigma, kappa, m)
+-> ((-1)^m amp, -mu, sigma, -1-kappa, m), and D = -d/dx gives the two terms
+(-kappa amp, m) and (-amp, m+1).
 """
 
 from __future__ import annotations
@@ -118,6 +124,9 @@ _KERNEL_MAX_ORDER = 3
 #: Narrowest bump width: sigma^_KERNEL_MAX_ORDER, which profile derivatives
 #: divide by, stays a normal float.
 _SIGMA_MIN = sys.float_info.min ** (1.0 / _KERNEL_MAX_ORDER)
+#: max |B^(k)| over (-1, 1) for k = 0..3, rounded up (measured 0.36788,
+#: 0.79843, 7.7497 and 186.3999 on a 4e6-point grid).
+_KERNEL_DERIV_MAX = (0.368, 0.799, 7.75, 186.4)
 
 
 def _bump_kernel(xi: np.ndarray, order: int = 0) -> np.ndarray:
@@ -150,9 +159,13 @@ def _bump_kernel(xi: np.ndarray, order: int = 0) -> np.ndarray:
 
 
 class BumpTerm(NamedTuple):
+    """amp * e^{kappa x} * d^order/dx^order B((x - mu)/sigma) on the log axis."""
+
     amp: complex
     mu: float
     sigma: float
+    kappa: float = 0.0
+    order: int = 0
 
 
 class TestFunction:
@@ -210,7 +223,7 @@ class TestFunction:
     # -- algebra -------------------------------------------------------------
     def transpose(self) -> "TestFunction":
         """g^tau(u) = (1/u) g(1/u)."""
-        return TransposedFunction(self)
+        raise NotImplementedError
 
     def conjugate(self) -> "TestFunction":
         raise NotImplementedError
@@ -236,8 +249,14 @@ class BumpCombination(TestFunction):
             if t.sigma < _SIGMA_MIN:
                 raise DomainError(f"bump sigma={t.sigma:g} is too narrow: sigma^"
                                   f"{_KERNEL_MAX_ORDER} underflows below {sys.float_info.min:g}")
-        if not math.isfinite(sum(abs(complex(t.amp)) for t in self.terms)):
-            raise DomainError("bump amplitudes overflow: the sum of |amp| is not finite")
+        # bounds every profile derivative the routes take, up to order 3
+        bound = sum(abs(complex(t.amp)) * max(M * t.sigma ** -k
+                                              for k, M in enumerate(_KERNEL_DERIV_MAX))
+                    for t in self.terms)
+        if not math.isfinite(bound):
+            raise DomainError("bump amplitudes overflow: the sum of |amp| is not finite "
+                              "once weighted by max_k M_k/sigma^k, the largest |B^(k)| "
+                              "scaled to the bump, k <= 3")
 
     @property
     def is_zero(self) -> bool:
@@ -259,15 +278,40 @@ class BumpCombination(TestFunction):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for t in self.terms:
-            out += (t.amp / t.sigma**order) * _bump_kernel((x - t.mu) / t.sigma, order)
+            xi = (x - t.mu) / t.sigma
+            if t.kappa == 0.0:
+                m = t.order + order
+                out += (t.amp / t.sigma**m) * _bump_kernel(xi, m)
+                continue
+            # Leibniz: d^k [e^{kappa x} b_m] = e^{kappa x} sum_j C(k,j) kappa^(k-j) b_(m+j)
+            val = np.zeros(x.shape, dtype=complex)
+            for j in range(order + 1):
+                m = t.order + j
+                val += ((math.comb(order, j) * t.kappa ** (order - j))
+                        * ((t.amp / t.sigma**m) * _bump_kernel(xi, m)))
+            out += np.exp(t.kappa * x) * val
         return out
 
+    def transpose(self):
+        return BumpCombination(tuple(
+            BumpTerm(-t.amp if t.order % 2 else t.amp, -t.mu, t.sigma, -1.0 - t.kappa, t.order)
+            for t in self.terms))
+
+    def derive(self) -> "BumpCombination":
+        """Dg = -dF/dx: e^{kappa x} b_m gives -kappa e^{kappa x} b_m - e^{kappa x} b_(m+1)."""
+        terms = []
+        for t in self.terms:
+            if t.kappa != 0.0:
+                terms.append(t._replace(amp=-t.kappa * t.amp))
+            terms.append(t._replace(amp=-t.amp, order=t.order + 1))
+        return BumpCombination(tuple(terms))
+
     def conjugate(self):
-        return BumpCombination(tuple(BumpTerm(complex(t.amp).conjugate(), t.mu, t.sigma)
+        return BumpCombination(tuple(t._replace(amp=complex(t.amp).conjugate())
                                      for t in self.terms))
 
     def scale(self, a):
-        return BumpCombination(tuple(BumpTerm(a * t.amp, t.mu, t.sigma) for t in self.terms))
+        return BumpCombination(tuple(t._replace(amp=a * t.amp) for t in self.terms))
 
     def __add__(self, other):
         if not isinstance(other, BumpCombination):
@@ -339,91 +383,11 @@ class StepFunction(TestFunction):
         return self
 
 
-@dataclass(frozen=True)
-class TransposedFunction(TestFunction):
-    """g^tau for kinds without a native closed-form transpose."""
-
-    inner: TestFunction
-
-    @property
-    def is_smooth(self):
-        return self.inner.is_smooth
-
-    @property
-    def is_zero(self):
-        return self.inner.is_zero
-
-    @property
-    def is_real(self):
-        return self.inner.is_real
-
-    def support_log(self):
-        a, b = self.inner.support_log()
-        return (-b, -a)
-
-    def _breakpoints(self):
-        return tuple(sorted(-x for x in self.inner._breakpoints()))
-
-    def profile(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-x) * self.inner.profile(-x)
-
-    def profile_deriv(self, x, order: int):
-        # d^k/dx^k [e^{-x} P(-x)] = (-1)^k e^{-x} sum_j C(k,j) P^(j)(-x)
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(x.shape, dtype=complex)
-        for j in range(order + 1):
-            pj = self.inner.profile(-x) if j == 0 else self.inner.profile_deriv(-x, j)
-            total += math.comb(order, j) * pj
-        return (-1.0) ** order * np.exp(-x) * total
-
-    def transpose(self):
-        return self.inner
-
-    def conjugate(self):
-        return TransposedFunction(self.inner.conjugate())
-
-    def scale(self, a):
-        return TransposedFunction(self.inner.scale(a))
-
-
-@dataclass(frozen=True)
-class DerivedFunction(TestFunction):
-    """(Dg)(u) = -u g'(u); on the log axis this is -dF/dx."""
-
-    inner: TestFunction
-
-    def __post_init__(self):
-        if not self.inner.is_smooth:
-            raise AdmissibilityError("derivation_D needs a smooth test function")
-
-    @property
-    def is_zero(self):
-        return self.inner.is_zero
-
-    @property
-    def is_real(self):
-        return self.inner.is_real
-
-    def support_log(self):
-        return self.inner.support_log()
-
-    def _breakpoints(self):
-        return self.inner._breakpoints()
-
-    def profile_deriv(self, x, order: int):
-        return -self.inner.profile_deriv(x, order + 1)
-
-    def conjugate(self):
-        return DerivedFunction(self.inner.conjugate())
-
-    def scale(self, a):
-        return DerivedFunction(self.inner.scale(a))
-
-
 def derivation_D(g: TestFunction) -> TestFunction:
-    """Dg with mellin(Dg, s) = s * mellin(g, s); rejects step functions."""
-    return DerivedFunction(g)
+    """Dg with mellin(Dg, s) = s * mellin(g, s), for bump combinations only."""
+    if not isinstance(g, BumpCombination):
+        raise AdmissibilityError("derivation_D needs a bump combination")
+    return g.derive()
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,8 @@ def _w_r_series(g: TestFunction) -> complex:
                     | {x for x in g._breakpoints() if 0.0 < x < B}
                     | {x for x in gt._breakpoints() if 0.0 < x < B})
     x0, w0 = panel_nodes(breaks, density=96.0)
-    total += complex(np.sum(w0 * (np.asarray(g.profile(x0), dtype=complex) + gt.profile(x0))))
+    sum0 = np.asarray(g.profile(x0), dtype=complex) + gt.profile(x0)
+    total += complex(np.sum(w0 * sum0))
 
     ebB = math.exp(-2.0 * B)
     for j in range(1, _SERIES_TERMS + 1):
@@ -148,11 +149,9 @@ def _w_r_series(g: TestFunction) -> complex:
     _, d1g, _ = _profile_at_zero(g)
     _, d1t, _ = _profile_at_zero(gt)
     phi1 = d1g + d1t  # phi(0) = 0 by construction, phi'(0) drives the limit
-    x, w = panel_nodes(breaks, density=96.0)
-    px = phi(x)
-    ratio = np.where(np.abs(x) < 1e-6, 0.5 * phi1,
-                     px / np.where(x == 0.0, 1.0, -np.expm1(-2.0 * x)))
-    total += complex(np.sum(w * ratio * np.exp(-2.0 * (_SERIES_TERMS + 1) * x)))
+    ratio = np.where(np.abs(x0) < 1e-6, 0.5 * phi1,
+                     (sum0 - 2.0 * f0) / np.where(x0 == 0.0, 1.0, -np.expm1(-2.0 * x0)))
+    total += complex(np.sum(w0 * ratio * np.exp(-2.0 * (_SERIES_TERMS + 1) * x0)))
     if f0 != 0:
         tail_all = -math.log1p(-ebB)
         tail_head = sum(ebB**j / j for j in range(1, _SERIES_TERMS + 1))

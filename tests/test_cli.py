@@ -268,11 +268,15 @@ class TestWeilCommand:
         ("r", "bump:mu=0,sigma=1e-300", "sigma^3 underflows"),
         ("2", "bump:mu=0.7,sigma=0.6,amp=1e308+mu=0.7,sigma=0.6,amp=1e308",
          "sum of |amp| is not finite"),
+        ("r", "bump:mu=0.7,sigma=0.6,amp=1e308", "sum of |amp| is not finite"),
+        ("2", "bump:mu=0.7,sigma=0.6,amp=1e308", "sum of |amp| is not finite"),
     ])
     def test_overflowing_literal_fails_fast(self, place, literal, message):
         # A sigma^3 of 0 ended in a ZeroDivisionError traceback; amplitudes
         # summing to inf ran the contour to its cap on NaN blocks and filed
-        # the overflow as not_converged.
+        # the overflow as not_converged.  A single amp of 1e308 is finite,
+        # but amp * max|B^(3)| / sigma^3 is not: it printed a finite direct
+        # value beside a not_converged contour.
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "eflab.cli", "weil", "--place", place,
                                "--form", "all", "--testfn", literal],

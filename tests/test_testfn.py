@@ -51,13 +51,16 @@ class TestEvaluate:
         lambda: bump(0.0, 1e-104),  # sigma^3 is subnormal
         lambda: bump(0.7, 0.6, amp=1e308) + bump(0.7, 0.6, amp=1e308),
         lambda: bump(0.7, 0.6, amp=1e308j) + bump(0.1, 0.6, amp=-1e308),
+        lambda: bump(0.7, 0.6, amp=1e308),  # amp * max|B^(3)| / sigma^3 overflows
+        lambda: bump(0.0, 3e-103),  # max|B^(3)| / sigma^3 overflows
     ])
     def test_overflowing_bump_terms_rejected(self, build):
         with pytest.raises(DomainError):
             build()
 
     def test_narrowest_and_largest_bumps_accepted(self):
-        g = bump(0.0, 3e-103) + bump(0.7, 0.6, amp=8e307)
+        # sum |amp| max_k M_k / sigma^k = 5.5e307 + 8.6e307, below the float limit
+        g = bump(0.0, 1.5e-102) + bump(0.7, 0.6, amp=1e305)
         assert g.profile(np.array([0.0]))[0] == math.exp(-1.0)  # the narrow bump's centre
 
     def test_nonpositive_rejected(self):
@@ -211,8 +214,10 @@ class TestDerivation:
             assert abs(Dg.mellin(s) - s * G0.mellin(s)) <= 1e-10
 
     def test_step_rejected(self):
-        with pytest.raises(AdmissibilityError):
-            derivation_D(StepFunction(4.0))
+        # only bump combinations carry their derivatives as terms
+        for g in (StepFunction(4.0), mconvolve(G0, bump(0.0, 0.5))):
+            with pytest.raises(AdmissibilityError):
+                derivation_D(g)
 
 
 class TestConvolution:
@@ -342,6 +347,34 @@ class TestAlgebraProperties:
         # D is -u d/du on functions of u, so mellin(Dg, s) = s mellin(g, s);
         # measured <= 6.2e-10
         assert abs(derivation_D(g).mellin(s) - s * g.mellin(s)) <= 3e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_BUMPS, _BUMPS.map(derivation_D),
+                     _BUMPS.map(lambda g: derivation_D(g.transpose()))))
+    def test_involutions_return_the_same_terms(self, g):
+        for op in (BumpCombination.transpose, BumpCombination.conj_reflect):
+            once = op(g)
+            assert isinstance(once, BumpCombination)
+            assert op(once).terms == g.terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BUMPS, _STRIP)
+    def test_derivation_of_transpose_and_transpose_of_derivation(self, g, s):
+        # (D g^tau)^(s) = s ghat(1-s) and ((Dg)^tau)^(s) = (1-s) ghat(1-s);
+        # measured <= 3.2e-10
+        want = g.mellin(1.0 - s)
+        assert abs(derivation_D(g.transpose()).mellin(s) - s * want) <= 3e-8
+        assert abs(derivation_D(g).transpose().mellin(s) - (1.0 - s) * want) <= 3e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BUMPS)
+    def test_transposed_derivative_against_finite_differences(self, g):
+        # central differences at h = 1e-6; measured <= 2.2e-9
+        gt = g.transpose()
+        x = np.linspace(*gt.support_log(), 41)
+        h = 1e-6
+        fd = (gt.profile(x + h) - gt.profile(x - h)) / (2.0 * h)
+        assert np.max(np.abs(fd - gt.profile_deriv(x, 1))) <= 1e-7
 
     @settings(max_examples=40, deadline=None)
     @given(_BUMPS, st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8))
