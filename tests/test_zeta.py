@@ -173,6 +173,27 @@ class TestZetaLineGrid:
         for ts in (np.array([14.0]), np.array([14.0, 14.01]), np.linspace(20.0, 21.0, 65)):
             assert np.max(np.abs(_zeta_line_grid(ts) - _zeta_line_many(ts))) <= 1e-11
 
+    @pytest.mark.parametrize("t", [330.0, 650.0, 970.0])
+    def test_one_phase_matrix_matches_one_per_chunk(self, t):
+        # the phase matrix is built once at the largest cut and sliced per
+        # chunk; a matrix built for each chunk at its own cut gives the same
+        # bits
+        ts = np.arange(6.0, t, 0.05)
+        h = (ts[-1] - ts[0]) / (ts.size - 1)
+        k = np.arange(_GRID_BLOCK) * h
+        per_chunk = np.empty(ts.size, dtype=complex)
+        for lo in range(0, ts.size, _LINE_CHUNK):
+            chunk = ts[lo:lo + _LINE_CHUNK]
+            N = _em_terms_needed(float(chunk[-1]))
+            logn = np.log(np.arange(1, N, dtype=float))
+            A = np.exp(-np.multiply.outer(0.5 + 1j * chunk[::_GRID_BLOCK], logn))
+            C = np.exp(-1j * np.multiply.outer(logn, k))
+            vals = (A @ C).ravel()[:chunk.size]
+            _add_em_tail(vals, 0.5 + 1j * chunk, N)
+            per_chunk[lo:lo + chunk.size] = vals
+        assert ts.size > 2 * _LINE_CHUNK
+        assert np.array_equal(_zeta_line_grid(ts).view(np.uint64), per_chunk.view(np.uint64))
+
 
 def reference_zero_table_text(t_max, step=_SCAN_STEP):
     """find_zeros with the direct kernel at every scan sample and every
