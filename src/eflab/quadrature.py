@@ -71,24 +71,6 @@ def _rule_size(n: int) -> int:
     return min(-(-n // step) * step, _MAX_PANEL_NODES)
 
 
-def gl_panel(a: float, b: float, density: float = 64.0, osc: float = 0.0):
-    """Gauss-Legendre nodes/weights on the one panel [a, b], a <= b, sized as
-    panel_nodes sizes each of its panels.
-
-    A panel of length 1e-14 or less gets no nodes.  Raises DomainError when
-    the node count asked for is not finite.
-    """
-    length = b - a
-    want = density * length + osc * length / 3.5
-    if not math.isfinite(want):
-        raise DomainError(f"quadrature panel [{a:.6g}, {b:.6g}] "
-                          f"needs a non-finite number of nodes")
-    if length <= 1e-14:
-        return np.empty(0), np.empty(0)
-    x0, w0 = _gl_rule(_rule_size(max(_MIN_PANEL_NODES, math.ceil(want) + 16)))
-    return 0.5 * (a + b) + 0.5 * length * x0, 0.5 * length * w0
-
-
 def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0):
     """Gauss-Legendre nodes/weights over [b_0, b_last] split at breakpoints.
 
@@ -104,8 +86,17 @@ def panel_nodes(breakpoints, density: float = 64.0, osc: float = 0.0):
     bs = sorted(v for v in values if v == v)
     if len(bs) < len(values):
         bs.append(math.nan)
-    pieces = [gl_panel(a, b, density, osc) for a, b in zip(bs, bs[1:])]
-    pieces = [p for p in pieces if p[0].size]
-    if not pieces:
+    xs, ws = [], []
+    for a, b in zip(bs, bs[1:]):
+        length = b - a
+        want = density * length + osc * length / 3.5
+        if not math.isfinite(want):
+            raise DomainError(f"quadrature panel [{a:.6g}, {b:.6g}] "
+                              f"needs a non-finite number of nodes")
+        if length > 1e-14:  # shorter panels get no nodes
+            x0, w0 = _gl_rule(_rule_size(max(_MIN_PANEL_NODES, math.ceil(want) + 16)))
+            xs.append(0.5 * (a + b) + 0.5 * length * x0)
+            ws.append(0.5 * length * w0)
+    if not xs:
         return np.empty(0), np.empty(0)
-    return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
+    return np.concatenate(xs), np.concatenate(ws)

@@ -122,18 +122,47 @@ def _inverse_vandermonde(m: int) -> np.ndarray:
     return inv
 
 
-#: Highest derivative order of the bump kernel.
-_KERNEL_MAX_ORDER = 3
-#: Narrowest bump width: sigma^_KERNEL_MAX_ORDER, which profile derivatives
-#: divide by, stays a normal float.
-_SIGMA_MIN = sys.float_info.min ** (1.0 / _KERNEL_MAX_ORDER)
 #: max |B^(k)| over (-1, 1) for k = 0..3, rounded up (measured 0.36788,
 #: 0.79843, 7.7497 and 186.3999 on a 4e6-point grid).
 _KERNEL_DERIV_MAX = (0.368, 0.799, 7.75, 186.4)
 
 
+@lru_cache(maxsize=None)
+def _kernel_poly(k: int) -> tuple[int, ...]:
+    """Integer coefficients, constant term first, of P_k in
+    B^(k)(xi) = B(xi) P_k(xi) / (1 - xi^2)^(2k):
+
+        P_0 = 1,  P_(k+1) = (1 - xi^2)^2 P_k' + (4k xi (1 - xi^2) - 2 xi) P_k.
+    """
+    if k == 0:
+        return (1,)
+    m = k - 1
+    out = [0] * (3 * k + 2)
+    for i, c in enumerate(_kernel_poly(m)):  # c xi^i feeds xi^(i-1), xi^(i+1), xi^(i+3)
+        for e, f in ((i - 1, i), (i + 1, 4 * m - 2 - 2 * i), (i + 3, i - 4 * m)):
+            out[e] += f * c
+    while out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _kernel_deriv_bound(k: int, sigma: float) -> float:
+    """M_k sigma^-k >= max |d^k/dx^k B(x/sigma)|; inf when M_k leaves the
+    float range.
+
+    M_k is the measured _KERNEL_DERIV_MAX up to order 3, and above it the
+    proven ||P_k||_1 (2k/e)^(2k): |P_k| <= ||P_k||_1 on [-1, 1], and
+    e^(-v) v^(2k) <= (2k/e)^(2k) for v = 1/(1 - xi^2).  A finite M_k keeps
+    P_k's coefficients floats.
+    """
+    if k < len(_KERNEL_DERIV_MAX):
+        return _KERNEL_DERIV_MAX[k] * sigma ** -k
+    log_m = math.log(sum(abs(c) for c in _kernel_poly(k))) + 2 * k * math.log(2 * k / math.e)
+    return math.exp(log_m) * sigma ** -k if log_m < _LOG_FLOAT_MAX else math.inf
+
+
 def _bump_kernel(xi: np.ndarray, order: int = 0) -> np.ndarray:
-    """B(xi) = exp(-1/(1-xi^2)) inside (-1,1), zero outside; derivative orders <= 3."""
+    """d^order/dxi^order of B(xi) = exp(-1/(1-xi^2)) inside (-1,1), zero outside."""
     xi = np.asarray(xi, dtype=float)
     out = np.zeros(xi.shape, dtype=float)
     m = xi * xi < 1.0 - 1e-10
@@ -141,23 +170,13 @@ def _bump_kernel(xi: np.ndarray, order: int = 0) -> np.ndarray:
         return out
     x = xi[m]
     one = 1.0 - x * x
-    B = np.exp(-1.0 / one)
     if order == 0:
-        val = B
-    else:
-        h1 = -2.0 * x / one**2
-        if order == 1:
-            val = B * h1
-        elif order == 2:
-            h1p = (-2.0 - 6.0 * x * x) / one**3
-            val = B * (h1 * h1 + h1p)
-        elif order == 3:
-            h1p = (-2.0 - 6.0 * x * x) / one**3
-            h1pp = -24.0 * x * (1.0 + x * x) / one**4
-            val = B * (h1**3 + 3.0 * h1 * h1p + h1pp)
-        else:
-            raise NotImplementedError(f"bump kernel derivative order {order}")
-    out[m] = val
+        out[m] = np.exp(-1.0 / one)
+    else:  # B / (1 - xi^2)^(2k) as one exponential, finite at every order
+        p = np.zeros_like(x)
+        for c in reversed(_kernel_poly(order)):  # Horner
+            p = p * x + float(c)
+        out[m] = np.exp(-1.0 / one - 2 * order * np.log(one)) * p
     return out
 
 
@@ -265,20 +284,23 @@ class BumpCombination(TestFunction):
     terms: tuple[BumpTerm, ...]
 
     def __post_init__(self):
+        # sigma^k, which profile derivatives divide by, stays a normal float
+        # and sum |amp| M_k/sigma^k is finite, for every k the routes take:
+        # up to 2 past a term's own order, and at least 3.
+        bound = 0.0
         for t in self.terms:
             if not (math.isfinite(t.mu) and t.sigma > 0.0):
                 raise DomainError(f"bad bump term {t}")
-            if t.sigma < _SIGMA_MIN:
+            top = max(3, t.order + 2)
+            if t.sigma < sys.float_info.min ** (1.0 / top):
                 raise DomainError(f"bump sigma={t.sigma:g} is too narrow: sigma^"
-                                  f"{_KERNEL_MAX_ORDER} underflows below {sys.float_info.min:g}")
-        # bounds every profile derivative the routes take, up to order 3
-        bound = sum(abs(complex(t.amp)) * max(M * t.sigma ** -k
-                                              for k, M in enumerate(_KERNEL_DERIV_MAX))
-                    for t in self.terms)
+                                  f"{top} underflows below {sys.float_info.min:g}")
+            bound += abs(complex(t.amp)) * max(_kernel_deriv_bound(k, t.sigma)
+                                               for k in range(top + 1))
         if not math.isfinite(bound):
             raise DomainError("bump amplitudes overflow: the sum of |amp| is not finite "
                               "once weighted by max_k M_k/sigma^k, the largest |B^(k)| "
-                              "scaled to the bump, k <= 3")
+                              "scaled to the bump, k <= max(3, order + 2)")
 
     @property
     def is_zero(self) -> bool:

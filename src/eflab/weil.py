@@ -14,10 +14,12 @@ with the local terms computed by every equivalent route:
 
   real place
     finite       V_r(g) + V_r(g^tau), V_r(g) = (log pi + gamma)/2 g(1)
-                 + int_1^inf g dt/t + int_1^inf (g(t)-g(1))/(t^2-1) dt/t
+                 + int_1^inf g dt/t + int_1^inf (g(t)-g(1))/(t^2-1) dt/t,
+                 both integrals on one node set
     series       (log pi + gamma) g(1) + int_1^inf (g+g^tau) du/u
                  + sum_{j>=1} int_1^inf (g - g(1)) u^-2j du/u  (+ transpose),
-                 partial sums to J plus the exact geometric remainder
+                 partial sums to J plus the exact geometric remainder; all
+                 J terms on one node set, with no per-term panel cut
     pf           (log 2 pi + gamma) g(1) + finite-part integrals over the
                  multiplicative group, rewritten exactly via y = 1/x
     contour      Lambda_r version of the vertical-line integral
@@ -34,7 +36,6 @@ per-place reports and the command line both go through it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +46,10 @@ from .contour import VerticalLineIntegrator, mellin_pair
 from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
                      DomainError)
 from .padic import haran_term, w_field  # noqa: F401  (w_field is re-exported)
-from .quadrature import gl_panel, panel_nodes
+from .quadrature import panel_nodes
 from .special import EULER_GAMMA, LOG_2PI, LOG_PI, Place, factorize, lambda_factor
 from .testfn import StepFunction, TestFunction, autocorrelate
-from .zeta import ZeroTable, _sieve_for, psi_sum
+from .zeta import SIEVE_LIMIT_MAX, ZeroTable, _sieve_for, psi_sum
 
 W_R_FORMS = ("finite", "series", "pf", "contour", "convolution")
 PRIME_METHODS = ("direct", "contour", "convolution")
@@ -87,28 +88,23 @@ def w_p_contour(g: TestFunction, p: int) -> complex:
 
 def _profile_at_zero(g: TestFunction):
     z = np.array([0.0])
-    f0 = complex(np.atleast_1d(g.profile(z))[0])
-    f1 = complex(np.atleast_1d(g.profile_deriv(z, 1))[0])
-    f2 = complex(np.atleast_1d(g.profile_deriv(z, 2))[0])
-    return f0, f1, f2
+    return tuple(complex(g.profile_deriv(z, k)[0]) for k in range(3))
 
 
 def _v_r_finite(g: TestFunction) -> complex:
     """V_r(g) on the log axis; the (t^2-1) singularity is removable and the
-    divided difference is replaced by its Taylor value below |x| = 1e-4."""
+    divided difference is replaced by its Taylor value below |x| = 1e-6."""
     a, b = g.support_log()
     f0, f1, f2 = _profile_at_zero(g)
     total = 0.5 * (LOG_PI + EULER_GAMMA) * f0
     if b <= 0.0:
         return total  # g vanishes on [1, inf) and g(1) = 0
-    inner = [x for x in g._breakpoints() if 0.0 < x < b]
     lo = max(a, 0.0) if f0 == 0 else 0.0
-    x, w = panel_nodes([lo] + [x for x in inner if x > lo] + [b], density=96.0)
-    total += complex(np.sum(w * g.profile(x)))
-
-    x, w = panel_nodes([0.0] + inner + [b], density=96.0)
+    x, w = panel_nodes([lo, b] + [x for x in g._breakpoints() if lo < x < b], density=96.0)
     F = np.asarray(g.profile(x), dtype=complex)
-    ratio = np.where(np.abs(x) < 1e-4, f1 + 0.5 * x * f2, (F - f0) / x)
+    total += complex(np.sum(w * F))
+    # below a lo > 0 both integrands vanish: g is 0 there and so is g(1)
+    ratio = np.where(np.abs(x) < 1e-6, f1 + 0.5 * x * f2, (F - f0) / x)
     with np.errstate(over="ignore"):  # x / expm1(2x) is 0 where expm1 overflows
         total += complex(np.sum(w * ratio * (x / np.expm1(2.0 * x))))
     if f0 != 0:
@@ -119,80 +115,35 @@ def _v_r_finite(g: TestFunction) -> complex:
 def _w_r_series(g: TestFunction) -> complex:
     """Series route: J explicit j-terms plus the exact geometric remainder.
 
-    The j-term integrates phi = g + g^tau - 2 g(1) against e^(-2jx) on the
-    base panels (0, B and the inner breakpoints of g and g^tau), with the one
-    panel that holds the cut 4/j split there.  The base panels and g + g^tau
-    on them are computed once, both profiles are evaluated once on the split
-    halves of every j, and each j-term is one np.sum over that j's slice of
-    one array: the same nodes, values and summation, bit for bit, as a
-    panel_nodes call and a profile call per j.
+    The j-term integrates phi = g + g^tau - 2 g(1) against e^(-2jx) over
+    (0, B).  All J terms use one node set, the base panels from 0, B and the
+    inner breakpoints of g and g^tau, with g + g^tau evaluated once on it,
+    and are one (J, nodes) array of exponentials times w phi.  No panel is
+    cut where e^(-2jx) decays: a panel of length L has n >= 96 L + 16 nodes,
+    and an n-node Gauss-Legendre rule integrates e^(-2jx) there to about
+    (e j L / 4n)^(2n) of its size, below 1e-39 for j <= J on every panel
+    under the 6000-node cap.  Past the support phi is -2 g(1), and its
+    j-terms and their remainder sum exactly to g(1) log(1 - e^(-2B)).
     """
     gt = g.transpose()
     f0 = complex(g.evaluate(1.0))
-    bg = g.support_log()[1]
-    bt = gt.support_log()[1]
-    B = max(bg, bt, 0.0)
+    B = max(g.support_log()[1], gt.support_log()[1], 0.0)
     total = (LOG_PI + EULER_GAMMA) * f0
-    if B <= 0.0:
-        return total
-
-    def both(x):
-        return np.asarray(g.profile(x), dtype=complex) + gt.profile(x)
-
-    breaks = sorted({0.0, B}
-                    | {x for x in g._breakpoints() if 0.0 < x < B}
-                    | {x for x in gt._breakpoints() if 0.0 < x < B})
-    panels = [gl_panel(a, b, density=96.0) for a, b in zip(breaks, breaks[1:])]
-    x0 = np.concatenate([x for x, _ in panels])
-    w0 = np.concatenate([w for _, w in panels])
-    sum0 = both(x0)
-    total += complex(np.sum(w0 * sum0))
-
-    # The j-term's nodes as (start, stop) ranges into x0 followed by the
-    # split halves of every j, in node order.
-    n0 = x0.size
-    ends = np.cumsum([0] + [x.size for x, _ in panels]).tolist()
-    halves = []
-    ranges = []
-    top = n0
-    for j in range(1, _SERIES_TERMS + 1):
-        cut = min(B, 4.0 / j)
-        i = bisect.bisect_left(breaks, cut) - 1
-        if not 0.0 < cut < B or breaks[i + 1] == cut:
-            ranges.append([(0, n0)])
-            continue
-        halves += [gl_panel(breaks[i], cut, density=96.0),
-                   gl_panel(cut, breaks[i + 1], density=96.0)]
-        n = halves[-2][0].size + halves[-1][0].size
-        ranges.append([(0, ends[i]), (top, top + n), (ends[i + 1], n0)])
-        top += n
-    xa = np.concatenate([x0] + [x for x, _ in halves])
-    wa = np.concatenate([w0] + [w for _, w in halves])
-    phi = np.concatenate((sum0, both(xa[n0:]))) - 2.0 * f0
-    sizes = [sum(b - a for a, b in r) for r in ranges]
-    idx = np.concatenate([np.arange(a, b) for r in ranges for a, b in r])
-    rate = np.repeat(-2.0 * np.arange(1, _SERIES_TERMS + 1), sizes)
-    terms = wa[idx] * phi[idx] * np.exp(rate * xa[idx])
-
-    ebB = math.exp(-2.0 * B)
-    stop = 0
-    for j, size in enumerate(sizes, start=1):
-        start, stop = stop, stop + size
-        total += complex(np.sum(terms[start:stop]))
-        if f0 != 0:
-            total += -f0 * ebB**j / j  # exact beyond-support piece of the j-term
+    breaks = [0.0, B] + [x for x in g._breakpoints() + gt._breakpoints() if 0.0 < x < B]
+    x, w = panel_nodes(breaks, density=96.0)
+    both = np.asarray(g.profile(x), dtype=complex) + gt.profile(x)
+    total += complex(np.sum(w * both))
+    phi = both - 2.0 * f0
+    j = np.arange(1, _SERIES_TERMS + 1)
+    total += complex(np.sum(np.exp(np.multiply.outer(-2.0 * j, x)) * (w * phi)))
 
     # remainder sum_{j>J}: geometric closed form of the exponential tail
-    _, d1g, _ = _profile_at_zero(g)
-    _, d1t, _ = _profile_at_zero(gt)
-    phi1 = d1g + d1t  # phi(0) = 0 by construction, phi'(0) drives the limit
-    ratio = np.where(np.abs(x0) < 1e-6, 0.5 * phi1,
-                     (sum0 - 2.0 * f0) / np.where(x0 == 0.0, 1.0, -np.expm1(-2.0 * x0)))
-    total += complex(np.sum(w0 * ratio * np.exp(-2.0 * (_SERIES_TERMS + 1) * x0)))
+    d1 = _profile_at_zero(g)[1] + _profile_at_zero(gt)[1]  # phi(0) = 0, phi'(0) drives the limit
+    ratio = np.where(np.abs(x) < 1e-6, 0.5 * d1,
+                     phi / np.where(x == 0.0, 1.0, -np.expm1(-2.0 * x)))
+    total += complex(np.sum(w * ratio * np.exp(-2.0 * (_SERIES_TERMS + 1) * x)))
     if f0 != 0:
-        tail_all = -math.log1p(-ebB)
-        tail_head = sum(ebB**j / j for j in range(1, _SERIES_TERMS + 1))
-        total += -f0 * (tail_all - tail_head)
+        total += f0 * math.log1p(-math.exp(-2.0 * B))  # every j-term's piece past B
     return total
 
 
@@ -290,21 +241,27 @@ def _primes_up_to(n: int) -> list[int]:
 
 def prime_places(g: TestFunction) -> list[int]:
     """Primes with some power p^k or p^-k (k >= 1) inside support(g)."""
-    if g.is_zero:
-        return []
-    a, b = g.support_log()
-    U = math.exp(max(b, -a, 0.0))
-    out = []
-    for p in _primes_up_to(math.floor(U + 1e-9)):
-        logp = math.log(p)
-        hit = False
-        for lo, hi in ((a, b), (-b, -a)):
-            k0 = max(1, math.ceil(lo / logp - 1e-12))
-            if k0 * logp <= hi + 1e-12:
-                hit = True
-        if hit:
-            out.append(p)
-    return out
+    return [] if g.is_zero else _places_in(*g.support_log())
+
+
+def _places_in(a: float, b: float) -> list[int]:
+    """Primes with some power p^k or p^-k (k >= 1) inside [e^a, e^b].
+
+    Raises DomainError, before sieving, when that needs primes past the
+    sieve's cap.
+    """
+    reach = max(b, -a, 0.0)
+    # clamped one unit past the cap's log, so that exp stays finite
+    n = math.floor(math.exp(min(reach, math.log(SIEVE_LIMIT_MAX) + 1.0)) + 1e-9)
+    if n > SIEVE_LIMIT_MAX:
+        raise DomainError(f"prime places need primes up to e^{reach:.6g}, past the sieve "
+                          f"cap {SIEVE_LIMIT_MAX} = e^{math.log(SIEVE_LIMIT_MAX):.6g}")
+
+    def meets(logp, lo, hi):  # some k >= 1 with lo <= k log p <= hi
+        return max(1, math.ceil(lo / logp - 1e-12)) * logp <= hi + 1e-12
+
+    return [p for p in _primes_up_to(n)
+            if any(meets(math.log(p), lo, hi) for lo, hi in ((a, b), (-b, -a)))]
 
 
 @dataclass(frozen=True)
@@ -392,9 +349,9 @@ class EFReport:
     place_terms: tuple[tuple[str, complex], ...]
 
 
-def _prime_side_terms(g: TestFunction) -> list[tuple[str, complex]]:
-    """W_nu(g) at r (finite form) and at each support prime, in that order."""
-    return [("r", w_r(g, "finite"))] + [(str(p), w_p(g, p)) for p in prime_places(g)]
+def _prime_side_terms(g: TestFunction, places: list[int]) -> list[tuple[str, complex]]:
+    """W_nu(g) at r (finite form) and at each of the primes places, in that order."""
+    return [("r", w_r(g, "finite"))] + [(str(p), w_p(g, p)) for p in places]
 
 
 def explicit_formula_check(g: TestFunction, zeros: ZeroTable) -> EFReport:
@@ -403,7 +360,7 @@ def explicit_formula_check(g: TestFunction, zeros: ZeroTable) -> EFReport:
         raise AdmissibilityError(
             "explicit_formula_check needs a smooth kind; steps go through vonmangoldt_check")
     _require_certified(zeros)
-    terms = _prime_side_terms(g)
+    terms = _prime_side_terms(g, prime_places(g))
     prime_side = complex(sum(v for _, v in terms))
     zside = zero_side_sum(g, zeros)
     return EFReport(zside, prime_side, zside - prime_side, zeros.t_max,
@@ -470,8 +427,13 @@ def positivity_q(g: TestFunction, zeros: ZeroTable) -> tuple[float, float]:
     _require_certified(zeros)
     if g.is_zero:
         return 0.0, 0.0
+    # h lives on the hull [a - b, b - a] of g's support [a, b] (Titchmarsh),
+    # so its places are known, and checked against the sieve cap, before h
+    # is built; primes past h's last nonzero sample add exact zeros
+    a, b = g.support_log()
+    places = _places_in(a - b, b - a)
     h = autocorrelate(g)
-    prime_side = complex(sum(v for _, v in _prime_side_terms(h)))
+    prime_side = complex(sum(v for _, v in _prime_side_terms(h, places)))
     boundary = h.mellin(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
     prime_side_q = float(np.real(boundary[0] + boundary[1] - prime_side))
     gam = zeros.ordinates

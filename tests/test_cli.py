@@ -125,6 +125,20 @@ class TestEfCommand:
                                 "--zeros", zeros100_file])
         assert code == 1 and message in err
 
+    @pytest.mark.parametrize("action,sigma,reach", [("positivity", "100", "e^200"),
+                                                   ("check", "40", "e^40")])
+    def test_past_the_prime_place_cap_fails_fast(self, zeros100_file, action, sigma, reach):
+        # positivity's h = g * g-check reaches e^(2 sigma); building it before
+        # the sieve refused took 9.2 s at sigma = 100
+        start = time.perf_counter()
+        code, out, err = run_cli(["ef", action, "--testfn", f"bump:mu=0,sigma={sigma}",
+                                  "--zeros", zeros100_file])
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: prime places need primes up to {reach}, past the sieve cap")
+        assert err.count("\n") == 1
+        assert elapsed < 1.0
+
     def test_positivity(self, zeros100_file):
         code, out, _ = run_cli(["ef", "positivity", "--testfn",
                                 "bump:mu=0.7,sigma=0.6", "--zeros", zeros100_file])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
 from eflab.errors import DomainError
-from eflab.quadrature import _MIN_PANEL_NODES, _gl_rule, _rule_size, gl_panel, panel_nodes
+from eflab.quadrature import _MIN_PANEL_NODES, _gl_rule, _rule_size, panel_nodes
 
 #: The rule sizes panel_nodes may build: multiples of 8 from its 24-node
 #: minimum below 128, then eight sizes per octave up to the 6000-node cap.
@@ -141,10 +141,3 @@ class TestPythonAssembly:
         for breaks in ((), (1.0,), (1.0, 1.0), (1.0, 1.0 + 1e-15), (math.inf, math.inf)):
             x, w = panel_nodes(breaks)
             assert x.size == w.size == 0
-
-    def test_panels_are_gl_panel(self):
-        breaks = (0.0, 0.3, 1.7, 2.0)
-        x, w = panel_nodes(breaks, density=96.0)
-        pieces = [gl_panel(a, b, density=96.0) for a, b in zip(breaks, breaks[1:])]
-        assert same_bits(x, np.concatenate([p[0] for p in pieces]))
-        assert same_bits(w, np.concatenate([p[1] for p in pieces]))

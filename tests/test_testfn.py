@@ -193,6 +193,69 @@ class TestConjReflect:
                 assert np.all(np.abs(g.mellin(np.conj(s)) - want) <= 1e-15 * np.abs(want))
 
 
+def hand_written_kernel(xi, order):
+    """B^(order)(xi) for order <= 3 as _bump_kernel wrote it before the P_k
+    recurrence: B times h1, h1^2 + h1', h1^3 + 3 h1 h1' + h1'' with
+    h1 = (log B)' = -2 xi / (1 - xi^2)^2."""
+    out = np.zeros(xi.shape)
+    m = xi * xi < 1.0 - 1e-10
+    x = xi[m]
+    one = 1.0 - x * x
+    B = np.exp(-1.0 / one)
+    h1 = -2.0 * x / one**2
+    h1p = (-2.0 - 6.0 * x * x) / one**3
+    h1pp = -24.0 * x * (1.0 + x * x) / one**4
+    out[m] = (B, B * h1, B * (h1 * h1 + h1p), B * (h1**3 + 3.0 * h1 * h1p + h1pp))[order]
+    return out
+
+
+class TestBumpKernel:
+    XI = np.linspace(-1.2, 1.2, 200001)
+
+    def test_order_zero_bits(self):
+        assert np.array_equal(testfn._bump_kernel(self.XI, 0), hand_written_kernel(self.XI, 0))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_hand_written_orders(self, order):
+        # measured 5.6e-16, 1.8e-15 and 7.0e-15 of max |B^(k)|
+        got = testfn._bump_kernel(self.XI, order)
+        scale = testfn._KERNEL_DERIV_MAX[order]
+        assert np.max(np.abs(got - hand_written_kernel(self.XI, order))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("order,tol", [(4, 1e-12), (5, 1e-11)])
+    def test_higher_orders_against_mpmath(self, order, tol):
+        # The monomial form of P_k loses a digit per order near the edges:
+        # measured 3.2e-14, 3.6e-13 and 1.1e-10 of max |B^(k)| at k = 4, 5, 7.
+        xs = np.linspace(-0.95, 0.95, 9)
+        got = testfn._bump_kernel(xs, order)
+        with mp.workdps(30):
+            want = np.array([float(mp.diff(lambda t: mp.exp(-1 / (1 - t * t)), mp.mpf(x), order))
+                             for x in xs])
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order", [4, 5, 6, 8])
+    def test_bound_above_the_kernel(self, order):
+        assert np.max(np.abs(testfn._bump_kernel(self.XI, order))) <= (
+            testfn._kernel_deriv_bound(order, 1.0))
+
+    def test_every_order_finite(self):
+        for order in (12, 20, 40):
+            assert np.all(np.isfinite(testfn._bump_kernel(self.XI, order)))
+
+    def test_narrow_second_derivative_rejected(self):
+        # sigma^4 underflows: the finite route divided by 0
+        g = derivation_D(bump(0.0, 1e-100))
+        with pytest.raises(DomainError, match="sigma\\^4 underflows"):
+            derivation_D(g)
+
+    def test_far_derivatives_rejected(self):
+        # M_k passes the float range near k = 86: a DomainError, not an OverflowError
+        g = bump(0.0, 0.5)
+        with pytest.raises(DomainError):
+            for _ in range(200):
+                g = derivation_D(g)
+
+
 class TestDerivation:
     def test_mellin_at_zero_and_one(self):
         Dg = derivation_D(G0)

@@ -5,6 +5,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from scipy.integrate import quad
 from eflab import weil
 from eflab.errors import AdmissibilityError, CertificationError, DomainError
 from eflab.padic import g_apply, haran_term, RealTestInput
-from eflab.quadrature import _gl_rule, panel_nodes
+from eflab.quadrature import _gl_rule
 from eflab.special import EULER_GAMMA, LOG_PI, Place
 from eflab.testfn import StepFunction, autocorrelate, bump, derivation_D, parse_test_function
 from eflab.zeta import VonMangoldtSieve, ZeroTable
@@ -93,42 +94,37 @@ class TestRealPlaceForms:
             weil.w_r(G0, "magic")
 
 
-def looped_series(g):
-    """The series route as a loop of one panel_nodes and one profile call per
-    j-term: the reference for weil._w_r_series' one-pass layout."""
-    gt = g.transpose()
-    f0 = complex(g.evaluate(1.0))
-    B = max(g.support_log()[1], gt.support_log()[1], 0.0)
-    total = (LOG_PI + EULER_GAMMA) * f0
-    if B <= 0.0:
-        return total
+def oracle_w_r(g):
+    """W_r(g) = V_r(g) + V_r(g^tau) for a sum of plain bump terms (order 0),
+    by mpmath.quad at 30 digits on the finite formula with every bump edge
+    as a break:
 
-    def phi(x):
-        return np.asarray(g.profile(x), dtype=complex) + gt.profile(x) - 2.0 * f0
+        V_r(g) = (log pi + gamma)/2 F(0) + int_0^inf F dx
+                 + int_0^inf (F(x) - F(0)) / (e^(2x) - 1) dx,  F(x) = g(e^x).
+    """
+    def v_r(terms):
+        assert all(t.order == 0 for t in terms)
 
-    breaks = sorted({0.0, B}
-                    | {x for x in g._breakpoints() if 0.0 < x < B}
-                    | {x for x in gt._breakpoints() if 0.0 < x < B})
-    x0, w0 = panel_nodes(breaks, density=96.0)
-    sum0 = np.asarray(g.profile(x0), dtype=complex) + gt.profile(x0)
-    total += complex(np.sum(w0 * sum0))
-    ebB = math.exp(-2.0 * B)
-    for j in range(1, weil._SERIES_TERMS + 1):
-        cut = min(B, 4.0 / j)
-        bj = sorted(set(breaks) | ({cut} if 0.0 < cut < B else set()))
-        x, w = panel_nodes(bj, density=96.0)
-        total += complex(np.sum(w * phi(x) * np.exp(-2.0 * j * x)))
-        if f0 != 0:
-            total += -f0 * ebB**j / j
-    _, d1g, _ = weil._profile_at_zero(g)
-    _, d1t, _ = weil._profile_at_zero(gt)
-    ratio = np.where(np.abs(x0) < 1e-6, 0.5 * (d1g + d1t),
-                     (sum0 - 2.0 * f0) / np.where(x0 == 0.0, 1.0, -np.expm1(-2.0 * x0)))
-    total += complex(np.sum(w0 * ratio * np.exp(-2.0 * (weil._SERIES_TERMS + 1) * x0)))
-    if f0 != 0:
-        tail_head = sum(ebB**j / j for j in range(1, weil._SERIES_TERMS + 1))
-        total += -f0 * (-math.log1p(-ebB) - tail_head)
-    return total
+        def F(x):
+            total = mp.mpf(0)
+            for t in terms:
+                xi = (x - t.mu) / mp.mpf(t.sigma)
+                if xi * xi < 1:
+                    total += mp.mpc(t.amp) * mp.exp(t.kappa * x - 1 / (1 - xi * xi))
+            return total
+
+        edges = sorted({e for t in terms for e in (t.mu - t.sigma, t.mu + t.sigma)})
+        b = edges[-1]
+        f0 = F(mp.mpf(0))
+        val = (mp.log(mp.pi) + mp.euler) / 2 * f0
+        if b <= 0:
+            return val
+        pts = [mp.mpf(x) for x in sorted({0.0, b} | {e for e in edges if 0 < e < b})]
+        val += mp.quad(F, pts) + mp.quad(lambda x: (F(x) - f0) / mp.expm1(2 * x), pts)
+        return val + f0 / 2 * mp.log(-mp.expm1(-2 * mp.mpf(b)))  # the tail of -F(0) past b
+
+    with mp.workdps(30):
+        return complex(v_r(g.terms) + v_r(g.transpose().terms))
 
 
 #: Sums of one to three bumps, real or complex, some with supports off u = 1.
@@ -138,26 +134,45 @@ _SERIES_BUMPS = st.lists(
                         st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                            allow_infinity=False))),
     min_size=1, max_size=3).map(lambda bs: sum(bs[1:], bs[0]))
-#: ... transposed and derived: kappa = -1 terms, and order-1 terms whose
-#: second profile derivative the series route still takes.
-_SERIES_FUNCTIONS = st.one_of(
-    _SERIES_BUMPS, _SERIES_BUMPS.map(lambda g: g.transpose()),
-    _SERIES_BUMPS.map(derivation_D), _SERIES_BUMPS.map(lambda g: derivation_D(g.transpose())),
-    _SERIES_BUMPS.map(lambda g: derivation_D(g).transpose()))
 
 
-class TestSeriesOnePass:
+class TestSeriesRoute:
+    #: Measured distances of series to the oracle: 2.5e-16 or less for the
+    #: four single bumps, 1.2e-13 for sigma = 8 and 1.1e-13 for the sum,
+    #: the same with and without a panel cut at 4/j in the j-term.
+    ORACLE_LITERALS = ("bump:mu=0.7,sigma=0.6", "bump:mu=0,sigma=0.5",
+                       "bump:mu=-0.8,sigma=0.4", "bump:mu=1.8,sigma=0.35", "bump:mu=0,sigma=8",
+                       "bump:mu=0,sigma=0.5+mu=0.4,sigma=0.2+mu=-0.6,sigma=0.3,amp=3")
+
+    @pytest.mark.parametrize("literal", ORACLE_LITERALS)
+    def test_within_1e_12_of_the_oracle(self, literal):
+        g = parse_test_function(literal)
+        assert abs(weil.w_r(g, "series") - oracle_w_r(g)) <= 1e-12
+
     @settings(max_examples=120, deadline=None)
-    @given(_SERIES_FUNCTIONS)
-    def test_same_bits_as_the_loop(self, g):
-        got, ref = complex(weil.w_r(g, "series")), complex(looped_series(g))
-        assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+    @given(_SERIES_BUMPS)
+    def test_agrees_with_finite(self, g):
+        # measured <= 6.7e-12 over 1500 random sums; the finite route's
+        # Taylor value below |x| = 1e-4 was 1.7e-9 off for bump(0.17, 0.2, 2)
+        finite = weil.w_r(g, "finite")
+        assert abs(weil.w_r(g, "series") - finite) <= 1e-9 * max(1.0, abs(finite))
 
-    def test_cuts_on_a_breakpoint_and_at_the_support_end(self):
-        # 4/j = 1 and 4/j = 0.5 are breakpoints; B = 2 is reached by the cut at j = 2
-        for g in (bump(0.5, 0.5), bump(1.0, 1.0), bump(-0.25, 0.25) + bump(1.25, 0.75)):
-            got, ref = complex(weil.w_r(g, "series")), complex(looped_series(g))
-            assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+class TestSecondDerivative:
+    """D^2 bump(0, 0.5) takes order-4 kernel derivatives at r."""
+
+    G = derivation_D(derivation_D(bump(0.0, 0.5)))
+
+    def test_every_form_reports(self):
+        rep = weil.place_term_report(self.G, Place.real())
+        assert sorted([*dict(rep.values), *rep.not_converged]) == sorted(weil.W_R_FORMS)
+        assert {"finite", "series"} <= set(dict(rep.values))
+
+    def test_finite_agrees_with_series(self):
+        # measured 4.4e-16 apart, at -2.71634333003
+        finite = weil.w_r(self.G, "finite")
+        assert abs(finite - weil.w_r(self.G, "series")) <= 1e-12
+        assert abs(finite - (-2.71634333003)) <= 1e-11
 
 
 class TestRealPanelBreaks:
@@ -445,6 +460,23 @@ class TestSymmetryShift:
             rows = weil.log_abs_places(n)
             assert len(rows) == 2 and math.log(int(rows[0][0])) == lam, n
             assert rows[0][1] == -round(math.log(n) / lam) * lam, n
+
+
+class TestPrimePlaces:
+    def test_reach_past_the_sieve_cap(self):
+        # e^13.8155 = 10^6, and bump(0, 13.8) reaches every prime up to e^13.8
+        assert weil.prime_places(bump(0.0, 13.8))[-1] == 984593
+        with pytest.raises(DomainError, match="up to e\\^13.82, past the sieve cap 1000000"):
+            weil.prime_places(bump(0.0, 13.82))
+
+    def test_positivity_places_from_the_hull(self, zeros100):
+        # the hull of bump(0, 6.91) is [-13.82, 13.82], past the cap, though
+        # h's last nonzero sample, where its edge underflows, is not
+        with pytest.raises(DomainError, match="up to e\\^13.82"):
+            weil.positivity_q(bump(0.0, 6.91), zeros100)
+        # e^1400 is past the float range
+        with pytest.raises(DomainError, match="up to e\\^1400"):
+            weil.positivity_q(bump(0.0, 700.0), zeros100)
 
 
 class TestReports:
